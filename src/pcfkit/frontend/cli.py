@@ -5,7 +5,8 @@ Exit codes, uniform across subcommands:
   1  no value: bot, no-numeral within budget, or terms distinct
   2  type error
   3  parse error or unreadable input
-  4  internal violation reported by a cross-check
+  4  internal violation: a cross-check failed, or the run died of
+     RecursionError, MemoryError or AssertionError (one line on stderr)
 """
 
 from __future__ import annotations
@@ -124,6 +125,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 3
+    except (RecursionError, MemoryError, AssertionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

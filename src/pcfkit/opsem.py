@@ -6,15 +6,15 @@ oracle the single-valuedness tests compare against; reduce iterates step
 with a budget and records the trace; reaches_numeral is the bounded
 semi-decision procedure for "this base term computes a numeral".
 
-The bounded no-trace path dispatches to a compiled kernel when one was
-built; set PCFKIT_PURE=1 to force the pure engine. Both engines walk a
-zipper (a path stack into the term) so that a reduction step costs O(1)
-amortized instead of a root-to-redex rescan.
+The bounded no-trace path dispatches to the compiled kernel whenever
+``pcfkit._kernel`` imports, and to the pure engine otherwise; the pure
+engine is the reference the kernel is tested against. Both engines walk
+a zipper (a path stack into the term) so that a reduction step costs
+O(1) amortized instead of a root-to-redex rescan.
 """
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple, Optional
 
 from . import syntax
@@ -184,12 +184,20 @@ def _run_pure(t, max_steps):
     return cur, steps
 
 
-_kernel = None
-if not os.environ.get("PCFKIT_PURE"):
-    try:
-        from . import _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        _kernel = None
+try:
+    from . import _kernel  # type: ignore[attr-defined]
+except ImportError:
+    _kernel = None
+
+
+def _run_compiled(t, max_steps):
+    """_run_pure on the compiled kernel: encode t into flat arrays, reduce
+    there, and decode the result back into interned terms."""
+    from . import arena
+    enc = arena.encode(t)
+    root, steps = _kernel.run(enc.tags, enc.fun, enc.arg, enc.numv,
+                              enc.rule, enc.root, max_steps)
+    return arena.decode(enc, root), steps
 
 
 def engine_name() -> str:
@@ -203,11 +211,7 @@ def run_bounded(t: Term, max_steps: int):
     that dispatches to the compiled kernel when one is loaded.
     """
     if _kernel is not None:
-        from . import arena
-        enc = arena.encode(t)
-        root, steps = _kernel.run(enc.tags, enc.fun, enc.arg, enc.numv,
-                                  enc.rule, enc.root, max_steps)
-        return arena.decode(enc, root), steps
+        return _run_compiled(t, max_steps)
     return _run_pure(t, max_steps)
 
 

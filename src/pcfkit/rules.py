@@ -26,15 +26,9 @@ class RuleName(enum.Enum):
     PredArg = "pred-arg"      # s ~> t  implies  pred s ~> pred t
     IfzScrut = "ifz-scrut"    # r ~> r' implies  ifz s t r ~> ifz s t r'
 
-    @property
-    def cli_name(self) -> str:
-        return self.value
-
 
 # The four congruence rules descend into a subterm; the other seven
 # contract a redex at the root.
 CONGRUENCE_RULES = frozenset(
     {RuleName.AppLeft, RuleName.SuccArg, RuleName.PredArg, RuleName.IfzScrut}
 )
-
-CONTRACTION_RULES = frozenset(RuleName) - CONGRUENCE_RULES

@@ -52,27 +52,22 @@ class Func(SemValue):
     """An arrow-type value; applications are memoized per argument.
 
     Base arguments key the cache by their payload.  Function arguments
-    key it by object identity and are pinned so the id stays valid.
+    key it by themselves: Func compares and hashes by identity, and the
+    cache keeps its keys alive.
     """
 
-    __slots__ = ("_fn", "_cache", "_pins")
+    __slots__ = ("_fn", "_cache")
 
     def __init__(self, fn):
         self._fn = fn
         self._cache = {}
-        self._pins = []
 
     def apply(self, arg):
-        if isinstance(arg, Base):
-            key = arg.partial.value
-        else:
-            key = ("func", id(arg))
+        key = arg.partial.value if isinstance(arg, Base) else arg
         got = self._cache.get(key, _MISS)
         if got is _MISS:
             got = self._fn(arg)
             self._cache[key] = got
-            if not isinstance(arg, Base):
-                self._pins.append(arg)
         return got
 
     def __repr__(self):

@@ -63,16 +63,23 @@ def decide_forall_finite(domain, pred):
 
 
 def w_equal(spec, u, v):
-    """Decidable tree equality: heads first, then children pointwise."""
-    iu, iv = spec.target(u.head), spec.target(v.head)
-    if not spec.index_eq(iu, iv):
-        raise IndexMismatch(f"trees indexed by {iu!r} and {iv!r}")
-    if not spec.head_eq(u.head, v.head):
-        return False
-    # identical heads, so identical arities and child indices
-    return decide_forall_finite(
-        range(spec.arity(u.head)),
-        lambda b: w_equal(spec, u.children[b], v.children[b]))
+    """Decidable tree equality: heads first, then children pointwise.
+
+    Pairs are compared in pre-order, leftmost child first, from an
+    explicit stack, so tree depth is not bounded by the recursion limit.
+    """
+    stack = [(u, v)]
+    while stack:
+        u, v = stack.pop()
+        iu, iv = spec.target(u.head), spec.target(v.head)
+        if not spec.index_eq(iu, iv):
+            raise IndexMismatch(f"trees indexed by {iu!r} and {iv!r}")
+        if not spec.head_eq(u.head, v.head):
+            return False
+        # identical heads, so identical arities and child indices
+        for b in reversed(range(spec.arity(u.head))):
+            stack.append((u.children[b], v.children[b]))
+    return True
 
 
 def validate(spec, w, index=None):

@@ -2,14 +2,11 @@
 engine: same final term (pointer-identical after decode, since terms
 are interned) and same step count, on every budget.
 
-Skipped wholesale when the extension was not built; the pure engine is
-exercised by the rest of the suite either way.
+The kernel tests skip when the extension was not built; the arena
+round trip is pure Python and always runs.
 """
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -19,30 +16,19 @@ from pcfkit.syntax import (
     random_type,
 )
 
-try:
-    from pcfkit import _kernel
-except ImportError:
-    _kernel = None
-
-pytestmark = pytest.mark.skipif(_kernel is None,
-                                reason="compiled kernel not built")
-
-
-def run_compiled(t, max_steps):
-    enc = arena.encode(t)
-    root, steps = _kernel.run(enc.tags, enc.fun, enc.arg, enc.numv,
-                              enc.rule, enc.root, max_steps)
-    return arena.decode(enc, root), steps
+needs_kernel = pytest.mark.skipif(opsem._kernel is None,
+                                  reason="compiled kernel not built")
 
 
 def both(t, max_steps):
-    got = run_compiled(t, max_steps)
+    got = opsem._run_compiled(t, max_steps)
     want = opsem._run_pure(t, max_steps)
     assert got[0] is want[0], (t, max_steps, got[0], want[0])
     assert got[1] == want[1]
     return got
 
 
+@needs_kernel
 def test_contraction_schemas():
     fin, steps = both(App(Pred, App(Succ, Zero)), 100)
     assert fin is Zero and steps == 1
@@ -56,6 +42,7 @@ def test_contraction_schemas():
     assert fin is numeral(3) and steps == 2
 
 
+@needs_kernel
 def test_budget_edges_on_divergence():
     fs = App(Fix(Iota), Succ)
     for budget in (0, 1, 2, 7, 100):
@@ -64,18 +51,21 @@ def test_budget_edges_on_divergence():
     assert both(fs, 0)[0] is fs
 
 
+@needs_kernel
 def test_deep_unrolling_decodes():
     fs = App(Fix(Iota), Succ)
     fin, steps = both(fs, 3000)
     assert steps == 3000
 
 
+@needs_kernel
 def test_normalizing_under_budget():
     t = App(Pred, numeral(50))
     fin, steps = both(t, 10_000)
     assert fin is numeral(49) and steps == 1
 
 
+@needs_kernel
 def test_fuzz_agreement():
     rng = random.Random(110)
     for _ in range(300):
@@ -92,18 +82,8 @@ def test_roundtrip_is_identity():
         assert arena.decode(enc, enc.root) is t
 
 
-@pytest.mark.skipif(bool(os.environ.get("PCFKIT_PURE")),
-                    reason="pure engine forced by environment")
+@needs_kernel
 def test_run_bounded_dispatches_to_kernel():
     assert opsem.engine_name() == "compiled"
     fs = App(Fix(Iota), Succ)
     assert opsem.run_bounded(fs, 500)[1] == 500
-
-
-def test_env_var_forces_pure_engine():
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from pcfkit import opsem; print(opsem.engine_name())"],
-        env={**os.environ, "PCFKIT_PURE": "1"},
-        capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "pure"

@@ -383,6 +383,17 @@ class TestCli:
             capsys, "eq", str(f), str(SAMPLES / "omega.pcf"))
         assert (code, out) == (1, "distinct\n")
 
+    @pytest.mark.parametrize("sub", ["check", "compile", "run", "denote"])
+    def test_too_deep_input_is_an_internal_error(self, sub, tmp_path):
+        deep = tmp_path / "deep.pcf"
+        deep.write_text("#3000\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcfkit.frontend.cli", sub, str(deep)],
+            capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("internal error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "pcfkit.frontend.cli",

@@ -70,6 +70,12 @@ def test_w_equal_demands_one_index():
         w_equal(TERM_SPEC, encode_term(Zero), encode_term(Succ))
 
 
+def test_w_equal_deeper_than_the_recursion_limit():
+    deep = encode_term(numeral(5000))
+    assert w_equal(TERM_SPEC, deep, encode_term(numeral(5000)))
+    assert not w_equal(TERM_SPEC, deep, encode_term(numeral(4999)))
+
+
 def test_type_encoding_frozen_shapes():
     assert encode_type(Iota) == WTree("iota")
     assert encode_type(Arrow(Iota, Iota)) == WTree(
