@@ -16,7 +16,7 @@ decoded result is the identical interned term the pure engine yields.
 from typing import NamedTuple
 
 from .rules import RuleName
-from .syntax import App, Term
+from .syntax import App, Term, fold
 
 TAG_CODES = {
     "zero": 0, "succ": 1, "pred": 2, "ifz": 3,
@@ -39,32 +39,18 @@ class Encoding(NamedTuple):
 def encode(t: Term) -> Encoding:
     """Encode the term DAG rooted at t; shared subterms get one node."""
     tags, fun, arg, numv, rule, payloads = [], [], [], [], [], []
-    index = {}
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        if cur in index:
-            continue
-        if cur.tag == "app":
-            fi = index.get(cur.fun)
-            ai = index.get(cur.arg)
-            if fi is None or ai is None:
-                stack.append(cur)
-                if ai is None:
-                    stack.append(cur.arg)
-                if fi is None:
-                    stack.append(cur.fun)
-                continue
-        else:
-            fi = ai = -1
-        index[cur] = len(tags)
+
+    def add(cur, fi=-1, ai=-1):
         tags.append(TAG_CODES[cur.tag])
         fun.append(fi)
         arg.append(ai)
         numv.append(-1 if cur.numeral is None else cur.numeral)
         rule.append(-1 if cur.rule is None else RULE_CODES[cur.rule])
         payloads.append(cur)
-    return Encoding(tags, fun, arg, numv, rule, payloads, index[t])
+        return len(payloads) - 1
+
+    root = fold(t, add, add)
+    return Encoding(tags, fun, arg, numv, rule, payloads, root)
 
 
 def decode(enc: Encoding, root: int) -> Term:

@@ -49,7 +49,7 @@ class FinitePoset:
     poset laws are verified exhaustively at construction time.
     """
 
-    __slots__ = ("size", "leq", "_rows", "_cols")
+    __slots__ = ("size", "_rows", "_cols")
 
     def __init__(self, leq):
         n = len(leq)
@@ -80,7 +80,6 @@ class FinitePoset:
             for j in _bits(rows[i]):
                 cols[j] |= 1 << i
         self.size = n
-        self.leq = tuple(tuple(bool(v) for v in row) for row in leq)
         self._rows = tuple(rows)
         self._cols = tuple(cols)
 

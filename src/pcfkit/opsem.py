@@ -10,7 +10,9 @@ The bounded no-trace path dispatches to the compiled kernel whenever
 ``pcfkit._kernel`` imports, and to the pure engine otherwise; the pure
 engine is the reference the kernel is tested against. Both engines walk
 a zipper (a path stack into the term) so that a reduction step costs
-O(1) amortized instead of a root-to-redex rescan.
+O(1) amortized instead of a root-to-redex rescan. ``step`` and
+``reduce`` share the pure engine's zipper: each of their steps is one
+``_run_pure`` run with a budget of 1.
 """
 
 from __future__ import annotations
@@ -59,34 +61,12 @@ def _contract(t, r):
     raise AssertionError(r)
 
 
-def _rewrite(t, r):
-    """One whole-term step when rule r applies at the root of t.
-
-    Iterative: congruence rules are a descent, so deep succ/fix spines
-    do not recurse.
-    """
-    spine = []
-    cur = t
-    while r in CONGRUENCE_RULES:
-        if r is _AL:
-            spine.append((cur.arg, True))
-            cur = cur.fun
-        else:
-            spine.append((cur.fun, False))
-            cur = cur.arg
-        r = cur.rule
-    cur = _contract(cur, r)
-    for other, cur_is_fun in reversed(spine):
-        cur = App(cur, other) if cur_is_fun else App(other, cur)
-    return cur
-
-
 def step(t: Term) -> Optional[Step]:
     """The unique one-step reduct of t, or None when no rule applies."""
     r = t.rule
     if r is None:
         return None
-    return Step(_rewrite(t, r), r)
+    return Step(_run_pure(t, 1)[0], r)
 
 
 def successors(t: Term) -> list:
@@ -144,7 +124,7 @@ def reduce(t: Term, max_steps: int):
         r = cur.rule
         if r is None:
             break
-        cur = _rewrite(cur, r)
+        cur = _run_pure(cur, 1)[0]
         trace.append((cur, r))
     return cur, trace, cur.rule is not None
 
@@ -155,14 +135,17 @@ def _run_pure(t, max_steps):
     Keeps the path to the current redex on a stack. After contracting,
     the next redex is at or below the contraction site whenever the new
     subterm still steps (single-valuedness makes the congruence path
-    above it stable), so no rescan from the root is needed.
+    above it stable), so no rescan from the root is needed. step and
+    reduce take their one step through this same zipper with a budget
+    of 1.
     """
     cur = t
     frames = []
     steps = 0
-    while steps < max_steps:
+    while True:
         r = cur.rule
-        if r is None:
+        if r is None or steps >= max_steps:
+            # rebuild the spine one frame up; done at the root
             if not frames:
                 return cur, steps
             other, cur_is_fun = frames.pop()
@@ -178,10 +161,6 @@ def _run_pure(t, max_steps):
             r = cur.rule
         cur = _contract(cur, r)
         steps += 1
-    while frames:
-        other, cur_is_fun = frames.pop()
-        cur = App(cur, other) if cur_is_fun else App(other, cur)
-    return cur, steps
 
 
 try:

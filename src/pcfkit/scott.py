@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .lifting import BOT, kleisli, fmap, render, unit
 from .opsem import WrongType, reaches_numeral, reduce
-from .syntax import Iota, type_of, term_to_sexp
+from .syntax import Iota, fold, type_of, term_to_sexp
 
 __all__ = [
     "SemValue", "Base", "Func", "Interpreter", "Verdict",
@@ -124,6 +124,10 @@ def _fix_value(sigma, fuel):
     return Func(unroll)
 
 
+def _apply(_app, f, a):
+    return f.apply(a)
+
+
 class Interpreter:
     """Memoizing evaluator.
 
@@ -133,40 +137,15 @@ class Interpreter:
     """
 
     def __init__(self):
-        self._memo = {}
+        self._memo = {}  # fuel -> {term: value}
 
     def denote(self, t, fuel):
         if t.ty is None:
             type_of(t)  # raises with the offending subterm
-        memo = self._memo
-        key = (t, fuel)
-        got = memo.get(key, _MISS)
-        if got is not _MISS:
-            return got
-        # explicit post-order stack: reduction can pile up spines far
-        # deeper than the interpreter recursion limit
-        stack = [t]
-        while stack:
-            cur = stack[-1]
-            ckey = (cur, fuel)
-            if ckey in memo:
-                stack.pop()
-                continue
-            if cur.tag != "app":
-                memo[ckey] = self._constant(cur, fuel)
-                stack.pop()
-                continue
-            fv = memo.get((cur.fun, fuel), _MISS)
-            av = memo.get((cur.arg, fuel), _MISS)
-            if fv is not _MISS and av is not _MISS:
-                memo[ckey] = fv.apply(av)
-                stack.pop()
-            else:
-                if av is _MISS:
-                    stack.append(cur.arg)
-                if fv is _MISS:
-                    stack.append(cur.fun)
-        return memo[key]
+        memo = self._memo.get(fuel)
+        if memo is None:
+            memo = self._memo[fuel] = {}
+        return fold(t, lambda c: self._constant(c, fuel), _apply, memo)
 
     def denote_base(self, t, fuel):
         if t.ty is not Iota:

@@ -10,6 +10,10 @@ every term carries three facts computed once at construction time:
 
 The reduction engine and the denotational interpreter lean on these
 fields heavily; nothing in this module ever rescans a subtree.
+
+Interning is single-threaded: ``_intern`` looks a key up and then
+inserts it, so two threads building the same term at once can end up
+with two non-identical copies, and ``is`` stops meaning equal.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .rules import RuleName
 __all__ = [
     "PcfType", "Iota", "Arrow",
     "Term", "Zero", "Succ", "Pred", "Ifz", "K", "S", "Fix", "App",
-    "TypeMismatch", "type_of", "numeral", "as_numeral", "term_size",
+    "TypeMismatch", "type_of", "numeral", "as_numeral", "fold", "term_size",
     "term_to_sexp", "type_to_sexp", "parse_term_sexp", "parse_type_sexp",
     "SexpError", "type_surface",
     "random_type", "random_term",
@@ -242,17 +246,49 @@ def as_numeral(t: Term):
     return t.numeral
 
 
-def term_size(t: Term) -> int:
-    """Number of nodes, applications included."""
-    n = 0
+_MISS = object()
+
+
+def fold(t: Term, leaf, node, memo=None):
+    """Compute a value for t bottom-up over its DAG of distinct subterms.
+
+    ``leaf(c)`` gives the value of a constant c and ``node(x, f_val,
+    a_val)`` that of an application x from the values of ``x.fun`` and
+    ``x.arg``. Subterms are visited in post-order, function child
+    first, and each distinct one is computed once and stored in
+    ``memo`` under the term itself; pass a dict to keep the values
+    across calls.
+    """
+    if memo is None:
+        memo = {}
+    # explicit post-order stack: reduction can pile up spines far
+    # deeper than the interpreter recursion limit
     stack = [t]
     while stack:
-        x = stack.pop()
-        n += 1
-        if x.tag == "app":
-            stack.append(x.fun)
-            stack.append(x.arg)
-    return n
+        cur = stack[-1]
+        if cur in memo:
+            stack.pop()
+        elif cur.tag != "app":
+            memo[cur] = leaf(cur)
+            stack.pop()
+        else:
+            fv = memo.get(cur.fun, _MISS)
+            av = memo.get(cur.arg, _MISS)
+            if fv is not _MISS and av is not _MISS:
+                memo[cur] = node(cur, fv, av)
+                stack.pop()
+            else:
+                if av is _MISS:
+                    stack.append(cur.arg)
+                if fv is _MISS:
+                    stack.append(cur.fun)
+    return memo[t]
+
+
+def term_size(t: Term) -> int:
+    """Number of nodes of the tree, applications included; each shared
+    subterm is counted once per occurrence but visited once."""
+    return fold(t, lambda _c: 1, lambda _x, f, a: 1 + f + a)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    App, Arrow, Fix, Ifz, Iota, K, PcfType, Pred, S, Succ, Zero, type_of,
+    App, Arrow, Fix, Ifz, Iota, K, PcfType, Pred, S, Succ, Zero, fold,
+    type_of,
 )
 
 __all__ = [
     "WSpec", "WTree", "IndexMismatch", "InvalidTree",
-    "get_fib", "subtrees", "w_equal", "validate", "decide_forall_finite",
+    "w_equal", "validate",
     "TYPE_SPEC", "TERM_SPEC",
     "encode_type", "decode_type", "encode_term", "decode_term",
 ]
@@ -46,20 +47,6 @@ class WSpec:
 class WTree:
     head: object
     children: tuple = ()
-
-
-def get_fib(spec, w):
-    """Head constructor together with the index it targets."""
-    return (w.head, spec.target(w.head))
-
-
-def subtrees(w):
-    return list(w.children)
-
-
-def decide_forall_finite(domain, pred):
-    """Exhaustive universal quantifier; vacuously true on empty domains."""
-    return all(pred(x) for x in domain)
 
 
 def w_equal(spec, u, v):
@@ -209,33 +196,16 @@ TERM_SPEC = WSpec(
 )
 
 
+def _encode_app(x, f, a):
+    fty = x.fun.ty
+    return WTree(("app", fty.domain, fty.codomain), (f, a))
+
+
 def encode_term(t):
     """Encode a well-typed term; raises the usual type error otherwise."""
     if t.ty is None:
         type_of(t)
-    memo = {}
-    stack = [t]
-    while stack:
-        cur = stack[-1]
-        if cur in memo:
-            stack.pop()
-            continue
-        if cur.tag == "app":
-            f, a = cur.fun, cur.arg
-            if f in memo and a in memo:
-                fty = f.ty
-                memo[cur] = WTree(("app", fty.domain, fty.codomain),
-                                  (memo[f], memo[a]))
-                stack.pop()
-            else:
-                if a not in memo:
-                    stack.append(a)
-                if f not in memo:
-                    stack.append(f)
-        else:
-            memo[cur] = WTree((cur.tag,) + cur.params)
-            stack.pop()
-    return memo[t]
+    return fold(t, lambda c: WTree((c.tag,) + c.params), _encode_app)
 
 
 def decode_term(w):

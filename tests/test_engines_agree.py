@@ -76,8 +76,8 @@ def test_fuzz_agreement():
 
 def test_roundtrip_is_identity():
     rng = random.Random(111)
-    for _ in range(200):
-        t = random_term(rng, random_type(rng), depth=7)
+    terms = [random_term(rng, random_type(rng), depth=7) for _ in range(200)]
+    for t in terms + [numeral(20000)]:
         enc = arena.encode(t)
         assert arena.decode(enc, enc.root) is t
 

@@ -1,5 +1,6 @@
 """Surface parser, bracket-abstraction compiler, and the pcf CLI."""
 
+import os
 import random
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import pcfkit
 from pcfkit.frontend import cli
 from pcfkit.frontend import surface as sf
 from pcfkit.frontend.elaborate import elaborate, infer_type
@@ -23,6 +25,18 @@ from pcfkit.syntax import (
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def run_module(*args):
+    """``python -m pcfkit.frontend.cli`` in a child process that imports
+    the same pcfkit as this one, however this one found it."""
+    paths = [str(Path(pcfkit.__file__).resolve().parent.parent),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, "-m", "pcfkit.frontend.cli", *args],
+        capture_output=True, text=True, env=env)
+
 
 ADD_SRC = """
 (fix \\f:nat -> nat -> nat. \\x:nat. \\y:nat.
@@ -387,17 +401,12 @@ class TestCli:
     def test_too_deep_input_is_an_internal_error(self, sub, tmp_path):
         deep = tmp_path / "deep.pcf"
         deep.write_text("#3000\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pcfkit.frontend.cli", sub, str(deep)],
-            capture_output=True, text=True)
+        proc = run_module(sub, str(deep))
         assert proc.returncode == 4
         assert proc.stderr.startswith("internal error: ")
         assert "Traceback" not in proc.stderr
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pcfkit.frontend.cli",
-             "run", str(SAMPLES / "add.pcf")],
-            capture_output=True, text=True)
+        proc = run_module("run", str(SAMPLES / "add.pcf"))
         assert proc.returncode == 0
         assert proc.stdout == "3\n"

@@ -27,6 +27,7 @@ def test_numerals_denote_themselves_at_zero_fuel():
 
 def test_numeral_denotation_survives_deep_spines():
     assert denote_base(numeral(5000), 0) == unit(5000)
+    assert Interpreter().denote(numeral(20000), 0) == Base(unit(20000))
 
 
 def test_fix_succ_is_bottom_at_any_fuel():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pcfkit.syntax import (
     App, Arrow, Fix, Ifz, Iota, K, Pred, S, Succ, Term, TypeMismatch, Zero,
-    as_numeral, numeral, parse_term_sexp, parse_type_sexp, random_term,
+    as_numeral, fold, numeral, parse_term_sexp, parse_type_sexp, random_term,
     random_type, term_size, term_to_sexp, type_of, type_surface, type_to_sexp,
     SexpError,
 )
@@ -55,10 +55,57 @@ def test_numeral_zero_and_two():
 
 
 def test_numeral_type_and_size():
-    for n in (0, 1, 7, 40):
+    for n in (0, 1, 7, 40, 20000):
         t = numeral(n)
         assert type_of(t) is Iota
         assert term_size(t) == 2 * n + 1
+
+
+def doubling_dag(k):
+    """t_0 = zero, t_i = App(t_{i-1}, t_{i-1}): k + 1 distinct subterms
+    spelling a tree of 2**(k + 1) - 1 nodes."""
+    t = Zero
+    for _ in range(k):
+        t = App(t, t)
+    return t
+
+
+def folded_in_order(t, memo=None):
+    """fold t to its depth, recording every leaf and node call."""
+    seen = []
+
+    def leaf(c):
+        seen.append(c)
+        return 0
+
+    def node(x, f, a):
+        seen.append(x)
+        return 1 + max(f, a)
+
+    return fold(t, leaf, node, memo), seen
+
+
+def test_fold_visits_each_distinct_subterm_once():
+    t = doubling_dag(12)
+    depth, seen = folded_in_order(t)
+    assert depth == 12
+    assert seen == [doubling_dag(i) for i in range(13)]
+
+
+def test_fold_is_post_order_function_first():
+    t = App(App(Pred, Zero), App(Succ, Zero))
+    assert folded_in_order(t)[1] == [Pred, Zero, t.fun, Succ, t.arg, t]
+
+
+def test_fold_reuses_a_given_memo():
+    memo = {}
+    assert folded_in_order(numeral(3), memo)[0] == 3
+    depth, seen = folded_in_order(numeral(5), memo)
+    assert depth == 5 and seen == [numeral(4), numeral(5)]
+
+
+def test_term_size_is_linear_on_shared_dags():
+    assert term_size(doubling_dag(40)) == 2 ** 41 - 1
 
 
 def test_as_numeral_inverse():
