@@ -3,8 +3,8 @@
 Exit codes, uniform across subcommands:
   0  success / value defined / terms equal
   1  no value: bot, no-numeral within budget, or terms distinct
-  2  type error
-  3  parse error or unreadable input
+  2  type error, or bad arguments (argparse), a negative budget among them
+  3  parse error or unreadable input (missing, or not UTF-8)
   4  internal violation: a cross-check failed, or the run died of
      RecursionError, MemoryError or AssertionError (one line on stderr)
 """
@@ -21,6 +21,20 @@ from ..syntax import TypeMismatch, term_to_sexp, type_surface
 from ..wtypes import TERM_SPEC, encode_term, w_equal
 from .elaborate import elaborate
 from .surface import ParseError, parse
+
+
+def _budget(text):
+    """argparse type of the step and fuel budgets: a natural number.
+    A non-integer gets the same message as under ``type=int``."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid budget: {text!r} is negative")
+    return n
 
 
 def _load(path):
@@ -96,21 +110,21 @@ def main(argv=None):
     cmd("check", "infer and print the program's type")
     cmd("compile", "print the combinatory form as an S-expression")
     p = cmd("step", "print the reduction trace, one rule per line")
-    p.add_argument("--max", type=int, default=100,
+    p.add_argument("--max", type=_budget, default=100,
                    help="step budget (default 100)")
     p = cmd("run", "reduce and print the resulting numeral")
-    p.add_argument("--max-steps", type=int, default=10000,
+    p.add_argument("--max-steps", type=_budget, default=10000,
                    help="step budget (default 10000)")
     p = cmd("denote", "print the fuel-bounded denotation (bot or eta n)")
-    p.add_argument("--fuel", type=int, default=32,
+    p.add_argument("--fuel", type=_budget, default=32,
                    help="fix unrolling budget (default 32)")
     for name, blurb in (("adequacy", "denotation, then cross-check the"
                                      " operational result"),
                         ("sound", "reduction trace cross-checked against"
                                   " the denotation")):
         p = cmd(name, blurb)
-        p.add_argument("--fuel", type=int, default=32)
-        p.add_argument("--max-steps", type=int, default=10000)
+        p.add_argument("--fuel", type=_budget, default=32)
+        p.add_argument("--max-steps", type=_budget, default=10000)
     cmd("eq", "decide equality of two compiled programs", two_files=True)
 
     args = top.parse_args(argv)
@@ -122,7 +136,7 @@ def main(argv=None):
     except (TypeMismatch, WrongType) as exc:
         print(f"type error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 3
     except (RecursionError, MemoryError, AssertionError) as exc:

@@ -7,78 +7,77 @@ Lambdas are removed innermost-first by the classical translation:
     [x:s] (M N)  =  s [x]M [x]N
 
 with every combinator's type parameters computed from the types in
-scope, so the output type-checks by construction.  No eta rule and no
-other simplification: the translation is deterministic and its output
-is stable enough to pin in tests.
+scope.  No eta rule and no other simplification: the translation is
+deterministic and its output is stable enough to pin in tests.
+
+A closed subterm is built as an interned `syntax.Term` at once, so
+`syntax` alone knows each constant's type.  Only a subterm with a free
+variable is an `_Open` node, carrying its type and its free names.
+Every application is checked against the type the translation expects
+when it is built; a `#n` literal becomes `numeral(n)`.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from ..syntax import (
-    App as CApp, Arrow, Fix, Ifz, Iota, K, S, Succ, Pred, TypeMismatch,
-    Zero, numeral, type_of,
+    App as CApp, Arrow, Fix, Ifz, K, S, Succ, Pred, Term, TypeMismatch,
+    Zero, numeral,
 )
 from . import surface as sf
 
-__all__ = ["elaborate", "infer_type"]
+__all__ = ["elaborate"]
 
-_PRIM_IR = {
-    "zero": (Zero, Iota),
-    "succ": (Succ, Arrow(Iota, Iota)),
-    "pred": (Pred, Arrow(Iota, Iota)),
-    "ifz": (Ifz, Arrow(Iota, Arrow(Iota, Arrow(Iota, Iota)))),
-}
-
-# IR nodes: ("var", name, ty) | ("const", term, ty) | ("app", f, a, ty)
+_PRIMS = {"zero": Zero, "succ": Succ, "pred": Pred, "ifz": Ifz}
 
 
-def _ty(ir):
-    return ir[-1]
+# A variable (fun None, arg its name) or an application with a free
+# variable below it; free is the frozenset of those variables' names.
+_Open = namedtuple("_Open", "fun arg ty free")
+
+
+def _app(f, a, ty):
+    """The application of f to a, whose type the caller computed as ty."""
+    if isinstance(f, Term) and isinstance(a, Term):
+        t = CApp(f, a)
+        if t.ty is not ty:
+            raise AssertionError("translation changed the type")
+        return t
+    return _Open(f, a, ty, frozenset().union(
+        *(c.free for c in (f, a) if isinstance(c, _Open))))
 
 
 def _lower(e, env):
     if isinstance(e, sf.Var):
         if e.name not in env:
             raise sf.UnboundVariable(e.name)
-        return ("var", e.name, env[e.name])
+        return _Open(None, e.name, env[e.name], frozenset((e.name,)))
     if isinstance(e, sf.Prim):
         if e.tag == "fix":
             raise TypeMismatch(e, "fix applied to an argument of type"
                                " s -> s", "a bare fix")
-        term, ty = _PRIM_IR[e.tag]
-        return ("const", term, ty)
+        return _PRIMS[e.tag]
     if isinstance(e, sf.NumLit):
-        return ("const", numeral(e.n), Iota)
+        return numeral(e.n)
     if isinstance(e, sf.App):
         if e.fun == sf.FixS:
-            air = _lower(e.arg, env)
-            aty = _ty(air)
-            if not (aty.is_arrow and aty.domain is aty.codomain):
+            a = _lower(e.arg, env)
+            if not (a.ty.is_arrow and a.ty.domain is a.ty.codomain):
                 raise TypeMismatch(e, "an argument of type s -> s for fix",
-                                   aty)
-            sigma = aty.domain
-            fix_ir = ("const", Fix(sigma), Arrow(aty, sigma))
-            return ("app", fix_ir, air, sigma)
-        fir = _lower(e.fun, env)
-        fty = _ty(fir)
-        if not fty.is_arrow:
-            raise TypeMismatch(e, "an arrow type", fty)
-        air = _lower(e.arg, env)
-        if _ty(air) is not fty.domain:
-            raise TypeMismatch(e, fty.domain, _ty(air))
-        return ("app", fir, air, fty.codomain)
+                                   a.ty)
+            return _app(Fix(a.ty.domain), a, a.ty.domain)
+        f = _lower(e.fun, env)
+        if not f.ty.is_arrow:
+            raise TypeMismatch(e, "an arrow type", f.ty)
+        a = _lower(e.arg, env)
+        if a.ty is not f.ty.domain:
+            raise TypeMismatch(e, f.ty.domain, a.ty)
+        return _app(f, a, f.ty.codomain)
     if isinstance(e, sf.Lam):
         body = _lower(e.body, {**env, e.name: e.annot})
         return _abstract(e.name, e.annot, body)
     raise TypeError(f"not a surface term: {e!r}")
-
-
-def _free(x, ir):
-    if ir[0] == "var":
-        return ir[1] == x
-    if ir[0] == "app":
-        return _free(x, ir[1]) or _free(x, ir[2])
-    return False
 
 
 def _identity(sigma):
@@ -86,42 +85,18 @@ def _identity(sigma):
     return CApp(CApp(S(sigma, arr, sigma), K(sigma, arr)), K(sigma, sigma))
 
 
-def _abstract(x, sigma, ir):
-    tau = _ty(ir)
-    if not _free(x, ir):
-        k_ir = ("const", K(tau, sigma), Arrow(tau, Arrow(sigma, tau)))
-        return ("app", k_ir, ir, Arrow(sigma, tau))
-    if ir[0] == "var":
-        return ("const", _identity(sigma), Arrow(sigma, sigma))
-    f_abs = _abstract(x, sigma, ir[1])
-    a_abs = _abstract(x, sigma, ir[2])
-    ta = _ty(ir[2])
-    s_const = S(sigma, ta, tau)
-    s_ty = Arrow(Arrow(sigma, Arrow(ta, tau)),
-                 Arrow(Arrow(sigma, ta), Arrow(sigma, tau)))
-    inner = ("app", ("const", s_const, s_ty), f_abs,
-             Arrow(Arrow(sigma, ta), Arrow(sigma, tau)))
-    return ("app", inner, a_abs, Arrow(sigma, tau))
-
-
-def _to_term(ir):
-    if ir[0] == "const":
-        return ir[1]
-    if ir[0] == "app":
-        return CApp(_to_term(ir[1]), _to_term(ir[2]))
-    raise sf.UnboundVariable(ir[1])
-
-
-def infer_type(e):
-    """Type of a closed surface term, without building the combinator form."""
-    return _ty(_lower(e, {}))
+def _abstract(x, sigma, v):
+    tau = v.ty
+    if isinstance(v, Term) or x not in v.free:
+        return _app(K(tau, sigma), v, Arrow(sigma, tau))
+    if v.fun is None:  # the variable x itself
+        return _identity(sigma)
+    ta = v.arg.ty
+    s_f_ty = Arrow(Arrow(sigma, ta), Arrow(sigma, tau))
+    return _app(_app(S(sigma, ta, tau), _abstract(x, sigma, v.fun), s_f_ty),
+                _abstract(x, sigma, v.arg), Arrow(sigma, tau))
 
 
 def elaborate(e):
     """Compile a closed surface term to a well-typed combinatory term."""
-    ir = _lower(e, {})
-    t = _to_term(ir)
-    got = type_of(t)
-    if got is not _ty(ir):
-        raise AssertionError("translation changed the type")
-    return t
+    return _lower(e, {})

@@ -14,10 +14,10 @@ Application is left-associative; a lambda may stand unparenthesized as
 the last argument of an application (`fix \\f:nat. e`).  Arrows
 associate to the right.  `ifz e0 e1 e2` takes the zero branch e0, the
 successor branch e1, and the scrutinee e2 last, mirroring the constant
-it parses to (this is not if-then-else order).  `#n` is expanded by the
-parser itself into n successor applications around zero.  `--` starts a
-comment running to end of line.  Programs must be closed; the parser
-tracks binders and rejects unbound names.
+it parses to (this is not if-then-else order).  `#n` is one `NumLit`
+node; elaboration turns it into n successor applications around zero.
+`--` starts a comment running to end of line.  Programs must be closed;
+the parser tracks binders and rejects unbound names.
 """
 
 from __future__ import annotations
@@ -138,7 +138,12 @@ def _tokenize(src):
                 j += 1
             if j == i + 1:
                 raise ParseError("'#' must be followed by digits", line, col)
-            toks.append(_Tok("num", int(src[i + 1:j]), line, col))
+            try:
+                value = int(src[i + 1:j])
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ParseError("numeral literal has too many digits",
+                                 line, col) from None
+            toks.append(_Tok("num", value, line, col))
             col += j - i
             i = j
         elif _is_ident_start(c):
@@ -228,10 +233,7 @@ class _Parser:
         if t.kind in _PRIMS:
             return _PRIMS[t.kind]
         if t.kind == "num":
-            e = ZeroS
-            for _ in range(t.value):
-                e = App(SuccS, e)
-            return e
+            return NumLit(t.value)
         if t.kind == "ident":
             if t.value not in bound:
                 raise UnboundVariable(t.value, t.line, t.col)

@@ -11,7 +11,7 @@ import pytest
 import pcfkit
 from pcfkit.frontend import cli
 from pcfkit.frontend import surface as sf
-from pcfkit.frontend.elaborate import elaborate, infer_type
+from pcfkit.frontend.elaborate import elaborate
 from pcfkit.frontend.surface import (
     App, FixS, IfzS, Lam, NumLit, ParseError, PredS, SuccS,
     UnboundVariable, Var, ZeroS, parse,
@@ -50,9 +50,11 @@ class TestParse:
         assert parse("succ zero zero") == App(App(SuccS, ZeroS), ZeroS)
 
     def test_hash_literals_are_succ_chains(self):
-        assert parse("#3") == parse("succ (succ (succ zero))")
-        assert parse("#0") == ZeroS
-        assert parse("#2") == App(SuccS, App(SuccS, ZeroS))
+        assert parse("#3") == NumLit(3)
+        assert parse("#0") == NumLit(0)
+        assert parse("succ #2") == App(SuccS, NumLit(2))
+        assert (elaborate(parse("#3"))
+                is elaborate(parse("succ (succ (succ zero))")))
 
     def test_lambda_and_fix(self):
         got = parse("\\f:nat->nat. fix f")
@@ -141,6 +143,12 @@ class TestElaborate:
             elaborate(parse("zero zero"))
         with pytest.raises(TypeMismatch):
             elaborate(parse("succ \\x:nat. x"))
+
+    def test_function_type_error_comes_before_the_argument(self):
+        # the function part is checked before the argument is lowered,
+        # so the bare fix in argument position is never reached
+        with pytest.raises(TypeMismatch, match="an arrow type"):
+            elaborate(parse("zero (fix)"))
 
 
 # independent oracle: big-step call-by-name evaluation of surface terms,
@@ -290,7 +298,6 @@ class TestCompilerCorrectness:
         for _ in range(300):
             ty = random_type(rng, 2)
             e = _random_surface(rng, {}, ty, 3)
-            assert infer_type(e) is ty
             t = elaborate(e)
             assert t.ty is ty
             assert parse_term_sexp(term_to_sexp(t)) is t
@@ -399,12 +406,54 @@ class TestCli:
 
     @pytest.mark.parametrize("sub", ["check", "compile", "run", "denote"])
     def test_too_deep_input_is_an_internal_error(self, sub, tmp_path):
+        # the recursive-descent parser overflows on deep parentheses
         deep = tmp_path / "deep.pcf"
-        deep.write_text("#3000\n")
+        deep.write_text("(" * 3000 + "zero" + ")" * 3000 + "\n")
         proc = run_module(sub, str(deep))
         assert proc.returncode == 4
         assert proc.stderr.startswith("internal error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("sub", ["check", "compile", "step", "run",
+                                     "denote", "adequacy", "sound", "eq"])
+    def test_deep_literal(self, sub, tmp_path):
+        want = {"check": "nat", "compile": term_to_sexp(numeral(5000)),
+                "step": "normal-form", "run": "5000", "denote": "eta 5000",
+                "adequacy": "ok n=5000", "sound": "ok n=5000",
+                "eq": "equal"}[sub] + "\n"
+        deep = tmp_path / "deep.pcf"
+        deep.write_text("#5000\n")
+        other = tmp_path / "succ.pcf"
+        other.write_text("succ #4999\n")
+        argv = [sub, str(deep)] + ([str(other)] if sub == "eq" else [])
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+    def test_non_utf8_input_is_unreadable(self, capsys, tmp_path):
+        bad = tmp_path / "bad.pcf"
+        bad.write_bytes(b"succ \xff\n")
+        code, _, err = self.run_cli(capsys, "check", str(bad))
+        assert code == 3 and err.startswith("cannot read input: ")
+
+    def test_overlong_literal_is_a_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.pcf"
+        bad.write_text("succ #" + "9" * 5000 + "\n")
+        code, _, err = self.run_cli(capsys, "run", str(bad))
+        assert code == 3
+        assert err == ("parse error: numeral literal has too many digits"
+                       " at line 1, column 6\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["step", "--max", "-1"], ["run", "--max-steps", "-1"],
+        ["denote", "--fuel", "-1"], ["adequacy", "--fuel", "-2"],
+        ["sound", "--max-steps=-5"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_budget_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([argv[0], str(SAMPLES / "add.pcf"), *argv[1:]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "is negative" in err and "Traceback" not in err
 
     def test_module_entry_point(self):
         proc = run_module("run", str(SAMPLES / "add.pcf"))
