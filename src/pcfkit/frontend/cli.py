@@ -2,7 +2,9 @@
 
 Exit codes, uniform across subcommands:
   0  success / value defined / terms equal
-  1  no value: bot, no-numeral within budget, or terms distinct
+  1  no value: bot, no-numeral within budget, or terms distinct; also
+     an inconclusive adequacy check, whose run reached no numeral
+     within its step budget
   2  type error, or bad arguments (argparse), a negative budget among them
   3  parse error or unreadable input (missing, or not UTF-8)
   4  internal violation: a cross-check failed, or the run died of
@@ -46,6 +48,9 @@ def _report(verdict):
     if not verdict.passed:
         print(f"VIOLATION {verdict.detail}")
         return 4
+    if verdict.status == "inconclusive":
+        print(f"inconclusive {verdict.detail}")
+        return 1
     if verdict.status == "vacuous":
         print("vacuous")
     else:

@@ -60,20 +60,28 @@ def _lower(e, env):
         return _PRIMS[e.tag]
     if isinstance(e, sf.NumLit):
         return numeral(e.n)
-    if isinstance(e, sf.App):
-        if e.fun == sf.FixS:
-            a = _lower(e.arg, env)
-            if not (a.ty.is_arrow and a.ty.domain is a.ty.codomain):
-                raise TypeMismatch(e, "an argument of type s -> s for fix",
-                                   a.ty)
-            return _app(Fix(a.ty.domain), a, a.ty.domain)
-        f = _lower(e.fun, env)
-        if not f.ty.is_arrow:
-            raise TypeMismatch(e, "an arrow type", f.ty)
+    if isinstance(e, sf.App) and e.fun == sf.FixS:
         a = _lower(e.arg, env)
-        if a.ty is not f.ty.domain:
-            raise TypeMismatch(e, f.ty.domain, a.ty)
-        return _app(f, a, f.ty.codomain)
+        if not (a.ty.is_arrow and a.ty.domain is a.ty.codomain):
+            raise TypeMismatch(e, "an argument of type s -> s for fix",
+                               a.ty)
+        return _app(Fix(a.ty.domain), a, a.ty.domain)
+    if isinstance(e, sf.App):
+        # the parser builds flat spines, so walk one in a loop: the
+        # head first, then each argument from the innermost application
+        spine = []
+        while isinstance(e, sf.App) and e.fun != sf.FixS:
+            spine.append(e)
+            e = e.fun
+        f = _lower(e, env)
+        for node in reversed(spine):
+            if not f.ty.is_arrow:
+                raise TypeMismatch(node, "an arrow type", f.ty)
+            a = _lower(node.arg, env)
+            if a.ty is not f.ty.domain:
+                raise TypeMismatch(node, f.ty.domain, a.ty)
+            f = _app(f, a, f.ty.codomain)
+        return f
     if isinstance(e, sf.Lam):
         body = _lower(e.body, {**env, e.name: e.annot})
         return _abstract(e.name, e.annot, body)

@@ -1,14 +1,19 @@
 """Fuel-indexed denotational interpreter with cross-check harnesses.
 
-Terms denote partial naturals at base type and memoized closures at
-arrow types.  Each occurrence of the fixed-point constant is unrolled a
-fixed number of times (the fuel) from the bottom value of its type, so
-every answer is a finite approximant of the intended meaning: raising
-the fuel can turn `bot` into a definite value, never change one.
+Terms denote partial naturals at base type and `Func` data at arrow
+types: a constant applied to fewer arguments than its arity, interned
+(single-threaded, as in `syntax`) so that equal values are one object,
+memoized per argument keyed structurally, and applied by one loop over
+an explicit stack.  Each occurrence of the fixed-point constant is
+unrolled a fixed number of times (the fuel) from the bottom value of
+its type, so every answer is a finite approximant of the intended
+meaning: raising the fuel can turn `bot` into a definite value, never
+change one.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .lifting import BOT, kleisli, fmap, render, unit
@@ -16,116 +21,111 @@ from .opsem import WrongType, reaches_numeral, reduce
 from .syntax import Iota, fold, type_of, term_to_sexp
 
 __all__ = [
-    "SemValue", "Base", "Func", "Interpreter", "Verdict",
+    "Func", "Interpreter", "Verdict",
     "bottom_value", "denote", "denote_base",
     "check_soundness", "check_adequacy", "check_semidecidability",
 ]
 
 _MISS = object()
 
-
-class SemValue:
-    __slots__ = ()
-
-
-class Base(SemValue):
-    """The meaning of a base-type term: a partial natural."""
-
-    __slots__ = ("partial",)
-
-    def __init__(self, partial):
-        self.partial = partial
-
-    def __eq__(self, other):
-        if not isinstance(other, Base):
-            return NotImplemented
-        return self.partial == other.partial
-
-    def __hash__(self):
-        return hash(self.partial)
-
-    def __repr__(self):
-        return f"Base({render(self.partial)})"
+# arguments each constant takes before it computes; fix takes the
+# bottom of its type and its fuel ahead of the function
+_ARITY = {"succ": 1, "pred": 1, "ifz": 3, "k": 2, "s": 3, "fix": 3}
 
 
-class Func(SemValue):
-    """An arrow-type value; applications are memoized per argument.
+class Func:
+    """An arrow-type value: constant ``tag`` applied to ``args``.
 
-    Base arguments key the cache by their payload.  Function arguments
-    key it by themselves: Func compares and hashes by identity, and the
-    cache keeps its keys alive.
+    Instances are interned through a weak pool, as `syntax.Term` is, so
+    ``is`` means the same constant applied to the same arguments.  The
+    pool is single-threaded, as `syntax`'s is.  Applications are
+    memoized per argument in ``_cache``, keyed by the argument itself:
+    a partial natural by its value, a Func by identity, which interning
+    makes structural.
     """
 
-    __slots__ = ("_fn", "_cache")
+    __slots__ = ("tag", "args", "_cache", "__weakref__")
+    _pool: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    def __init__(self, fn):
-        self._fn = fn
-        self._cache = {}
+    def __new__(cls, tag, args):
+        key = (tag, args)
+        f = cls._pool.get(key)
+        if f is None:
+            f = super().__new__(cls)
+            f.tag = tag
+            f.args = args
+            f._cache = {}
+            cls._pool[key] = f
+        return f
 
     def apply(self, arg):
-        key = arg.partial.value if isinstance(arg, Base) else arg
-        got = self._cache.get(key, _MISS)
-        if got is _MISS:
-            got = self._fn(arg)
-            self._cache[key] = got
-        return got
+        return _apply(self, arg)
 
     def __repr__(self):
-        return "Func(<closure>)"
+        return f"Func({self.tag!r}, {self.args!r})"
 
 
 def bottom_value(sigma):
     """Least element of the type's domain: bot, constantly extended."""
     if sigma is Iota:
-        return Base(BOT)
-    bot = bottom_value(sigma.codomain)
-    return Func(lambda _v: bot)
+        return BOT
+    return Func("k", (bottom_value(sigma.codomain),))
 
 
-def _succ_value():
-    return Func(lambda v: Base(fmap(lambda n: n + 1, v.partial)))
+def _apply(f, a):
+    """The value of f at a, computed without nesting Python calls.
 
-
-def _pred_value():
-    # the semantic predecessor sends 0 to 0, forced by the pred-zero rule
-    return Func(lambda v: Base(fmap(lambda n: n - 1 if n else 0, v.partial)))
-
-
-def _ifz_value():
-    def on_zero(x):
-        def on_succ(y):
-            def scrutinee(z):
-                def chi(n):
-                    return x.partial if n == 0 else y.partial
-                return Base(kleisli(chi, z.partial))
-            return Func(scrutinee)
-        return Func(on_succ)
-    return Func(on_zero)
-
-
-def _k_value():
-    return Func(lambda a: Func(lambda _b: a))
-
-
-def _s_value():
-    return Func(lambda f: Func(
-        lambda g: Func(lambda x: f.apply(x).apply(g.apply(x)))))
-
-
-def _fix_value(sigma, fuel):
-    def unroll(f):
-        cur = bottom_value(sigma)
-        for _ in range(fuel):
-            nxt = f.apply(cur)
-            if isinstance(nxt, Base) and nxt == cur:
-                return nxt  # chain from bottom stabilized; later iterates equal
-            cur = nxt
-        return cur
-    return Func(unroll)
-
-
-def _apply(_app, f, a):
-    return f.apply(a)
+    A miss in a cache pushes a memo frame that stores the answer.  The
+    s rule applies its first function to a under an arg frame, which
+    then applies the second, under a fun frame, which applies the first
+    result to the second.  A fix frame holds the last iterate and the
+    fuel left, and stops at no fuel or once an iterate repeats.
+    """
+    stack = []
+    while True:
+        v = f._cache.get(a, _MISS)
+        if v is _MISS:
+            stack.append(("memo", f, a))
+            tag, args = f.tag, f.args
+            if len(args) + 1 < _ARITY[tag]:
+                v = Func(tag, args + (a,))
+            elif tag == "succ":
+                v = fmap(lambda n: n + 1, a)
+            elif tag == "pred":
+                # sends 0 to 0, forced by the pred-zero rule
+                v = fmap(lambda n: n - 1 if n else 0, a)
+            elif tag == "ifz":
+                v = kleisli(lambda n: args[0] if n == 0 else args[1], a)
+            elif tag == "k":
+                v = args[0]
+            elif tag == "s":
+                stack.append(("arg", args[1], a))
+                f = args[0]
+                continue
+            else:  # fix: the bottom iterate, with no previous one
+                stack.append(("fix", a, _MISS, args[1]))
+                v = args[0]
+        while stack:
+            frame = stack.pop()
+            kind = frame[0]
+            if kind == "memo":
+                frame[1]._cache[frame[2]] = v
+            elif kind == "arg":
+                stack.append(("fun", v))
+                f, a = frame[1], frame[2]
+                break
+            elif kind == "fun":
+                f, a = frame[1], v
+                break
+            else:
+                _, g, prev, left = frame
+                # a repeated iterate is the fixed point: later ones equal it
+                if left and v != prev:
+                    stack.append(("fix", g, v, left - 1))
+                    f, a = g, v
+                    break
+        else:
+            return v
 
 
 class Interpreter:
@@ -145,30 +145,20 @@ class Interpreter:
         memo = self._memo.get(fuel)
         if memo is None:
             memo = self._memo[fuel] = {}
-        return fold(t, lambda c: self._constant(c, fuel), _apply, memo)
+        return fold(t, lambda c: self._constant(c, fuel),
+                    lambda _x, f, a: _apply(f, a), memo)
 
     def denote_base(self, t, fuel):
         if t.ty is not Iota:
             raise WrongType(f"denote_base needs a base-type term, got {t.ty}")
-        return self.denote(t, fuel).partial
+        return self.denote(t, fuel)
 
     def _constant(self, t, fuel):
-        tag = t.tag
-        if tag == "zero":
-            return Base(unit(0))
-        if tag == "succ":
-            return _succ_value()
-        if tag == "pred":
-            return _pred_value()
-        if tag == "ifz":
-            return _ifz_value()
-        if tag == "k":
-            return _k_value()
-        if tag == "s":
-            return _s_value()
-        if tag == "fix":
-            return _fix_value(t.params[0], fuel)
-        raise AssertionError(f"unknown constant {tag}")
+        if t.tag == "zero":
+            return unit(0)
+        if t.tag == "fix":
+            return Func("fix", (bottom_value(t.params[0]), fuel))
+        return Func(t.tag, ())
 
 
 def denote(t, fuel):
@@ -209,7 +199,7 @@ def check_soundness(s, max_steps, fuel):
     fuels = (fuel,) if fuel == 0 else (fuel, fuel // 2)
     for t, _rule in trace:
         for f2 in fuels:
-            m = interp.denote(t, f2).partial
+            m = interp.denote(t, f2)
             if m.defined and m.value != n:
                 return Verdict(
                     "violation", n,
@@ -219,7 +209,8 @@ def check_soundness(s, max_steps, fuel):
 
 
 def check_adequacy(t, fuel, max_steps):
-    """A committed denotation must be realized operationally."""
+    """A committed denotation must be realized operationally; a run
+    still stepping when its budget ends makes the check inconclusive."""
     v = denote_base(t, fuel)
     if not v.defined:
         return Verdict("vacuous")
@@ -227,8 +218,9 @@ def check_adequacy(t, fuel, max_steps):
     if m == v.value:
         return Verdict("ok", v.value)
     return Verdict(
-        "violation", v.value,
-        f"denotes eta {v.value} but {max_steps} steps reach {m}")
+        "inconclusive" if m is None else "violation", v.value,
+        f"denotes eta {v.value} but {max_steps} steps reach"
+        f" {'no numeral' if m is None else m}")
 
 
 def check_semidecidability(t, fuel, max_steps):

@@ -1,11 +1,32 @@
-"""Terminal reporting shared by the acceptance tests.
+"""Helpers shared by the test modules.
 
-The acceptance module appends (number, passed, name, detail) rows here;
-the hook prints them as a block in the summary area, where pytest's
-output capture cannot swallow them.
+The acceptance module appends (number, passed, name, detail) rows to
+``ACCEPTANCE_RESULTS``; the hook prints them as a block in the summary
+area, where pytest's output capture cannot swallow them.
+``shallow_stack`` lowers the recursion limit around a block.
 """
 
+import sys
+from contextlib import contextmanager
+
 ACCEPTANCE_RESULTS = []
+
+
+@contextmanager
+def shallow_stack():
+    """Run the block with the recursion limit 60 frames above the
+    current stack depth, so a walk that recurses once per level of its
+    input fails at small sizes instead of passing under a high limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import shallow_stack
 
 import pcfkit
 from pcfkit.frontend import cli
@@ -17,7 +18,7 @@ from pcfkit.frontend.surface import (
     UnboundVariable, Var, ZeroS, parse,
 )
 from pcfkit.opsem import run_bounded
-from pcfkit.scott import Base, Interpreter, denote
+from pcfkit.scott import Interpreter, denote
 from pcfkit.lifting import unit
 from pcfkit.syntax import (
     App as CApp, Arrow, Ifz, Iota, K, S, TypeMismatch, Zero, numeral,
@@ -106,7 +107,7 @@ class TestElaborate:
         applied = CApp(want, numeral(4))
         final, _ = run_bounded(applied, 100)
         assert final is numeral(4)
-        assert denote(want, 0).apply(Base(unit(9))) == Base(unit(9))
+        assert denote(want, 0).apply(unit(9)) == unit(9)
 
     def test_constant_function_is_k(self):
         assert elaborate(parse("\\x:nat. zero")) is CApp(K(Iota, Iota), Zero)
@@ -125,7 +126,15 @@ class TestElaborate:
         applied = CApp(CApp(add, numeral(2)), numeral(1))
         final, _ = run_bounded(applied, 10000)
         assert final is numeral(3)
-        assert Interpreter().denote_base(applied, 10) == unit(3)
+        with shallow_stack():
+            for fuel in (10, 63, 64, 500):
+                assert Interpreter().denote_base(applied, fuel) == unit(3)
+
+    def test_add_denotes_past_the_recursion_limit(self):
+        add = elaborate(parse(ADD_SRC))
+        big = CApp(CApp(add, numeral(200)), numeral(200))
+        with shallow_stack():
+            assert Interpreter().denote_base(big, 300) == unit(400)
 
     def test_bare_fix_is_a_type_error(self):
         for src in ("fix", "\\x:nat. fix"):
@@ -383,6 +392,20 @@ class TestCli:
                 capsys, sub, str(SAMPLES / "omega.pcf"), "--max-steps", "500")
             assert (code, out) == (0, "vacuous\n")
 
+    def test_denote_at_high_fuel(self):
+        proc = run_module("denote", "--fuel", "100", str(SAMPLES / "add.pcf"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "eta 3\n", "")
+
+    def test_adequacy_with_a_short_step_budget(self, capsys, tmp_path):
+        mul_src = (r"(fix \m:nat -> nat -> nat. \x:nat. \y:nat."
+                   f" ifz #0 ({ADD_SRC} x (m x (pred y))) y) #3 #3\n")
+        src = tmp_path / "mul.pcf"
+        src.write_text(mul_src)
+        code, out, _ = self.run_cli(capsys, "adequacy", str(src),
+                                    "--fuel", "8", "--max-steps", "3000")
+        assert (code, out) == (1, "inconclusive denotes eta 9 but 3000 steps"
+                                  " reach no numeral\n")
+
     def test_eq(self, capsys, tmp_path):
         a = tmp_path / "a.pcf"
         a.write_text("succ #1\n")
@@ -413,6 +436,15 @@ class TestCli:
         assert proc.returncode == 4
         assert proc.stderr.startswith("internal error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("src", ["zero " * 2000, "succ " * 1500 + "zero"],
+                             ids=["zeros", "succs"])
+    def test_long_flat_spine_is_a_type_error(self, src, capsys, tmp_path):
+        spine = tmp_path / "spine.pcf"
+        spine.write_text(src + "\n")
+        code, out, err = self.run_cli(capsys, "check", str(spine))
+        assert (code, out) == (2, "")
+        assert err.startswith("type error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("sub", ["check", "compile", "step", "run",
                                      "denote", "adequacy", "sound", "eq"])

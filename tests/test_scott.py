@@ -7,7 +7,7 @@ import pytest
 from pcfkit.lifting import BOT, unit
 from pcfkit.opsem import WrongType
 from pcfkit.scott import (
-    Base, Func, Interpreter, bottom_value, check_adequacy,
+    Func, Interpreter, bottom_value, check_adequacy,
     check_semidecidability, check_soundness, denote, denote_base,
 )
 from pcfkit.syntax import (
@@ -27,7 +27,7 @@ def test_numerals_denote_themselves_at_zero_fuel():
 
 def test_numeral_denotation_survives_deep_spines():
     assert denote_base(numeral(5000), 0) == unit(5000)
-    assert Interpreter().denote(numeral(20000), 0) == Base(unit(20000))
+    assert Interpreter().denote(numeral(20000), 0) == unit(20000)
 
 
 def test_fix_succ_is_bottom_at_any_fuel():
@@ -60,11 +60,21 @@ def test_fix_of_constant_function():
 
 
 def test_bottom_value_shapes():
-    assert bottom_value(Iota) == Base(BOT)
+    assert bottom_value(Iota) == BOT
     f = bottom_value(Arrow(Iota, Iota))
-    assert f.apply(Base(unit(3))) == Base(BOT)
+    assert f.apply(unit(3)) == BOT
     hi = bottom_value(Arrow(Arrow(Iota, Iota), Iota))
-    assert hi.apply(f) == Base(BOT)
+    assert hi.apply(f) == BOT
+
+
+def test_arrow_values_are_interned():
+    ty = Arrow(Iota, Arrow(Iota, Iota))
+    assert bottom_value(ty) is bottom_value(ty)
+    assert bottom_value(ty) is Func("k", (bottom_value(Arrow(Iota, Iota)),))
+    # k applied to equal arguments reached by different terms
+    k3 = denote(App(K(Iota, Iota), numeral(3)), 0)
+    assert denote(App(K(Iota, Iota), App(Pred, numeral(4))), 0) is k3
+    assert Func("k", ()).apply(unit(3)) is k3
 
 
 def test_denote_rejects_ill_typed_terms():
@@ -109,8 +119,8 @@ def test_equal_denotation_does_not_imply_interreduction():
     assert t1 is not t2
     assert t1.rule is None and t2.rule is None
     v1, v2 = denote(t1, 4), denote(t2, 4)
-    for arg in [Base(BOT)] + [Base(unit(n)) for n in range(6)]:
-        assert v1.apply(arg) == Base(unit(0)) == v2.apply(arg)
+    for arg in [BOT] + [unit(n) for n in range(6)]:
+        assert v1.apply(arg) == unit(0) == v2.apply(arg)
 
 
 def test_fuel_monotonicity_fuzz():
@@ -157,6 +167,10 @@ class TestAdequacy:
     def test_defined_fix(self):
         v = check_adequacy(CONST7, 5, 10)
         assert v.status == "ok" and v.value == 7
+
+    def test_short_step_budget_is_inconclusive(self):
+        v = check_adequacy(CONST7, 5, 1)
+        assert v.status == "inconclusive" and v.passed
 
     def test_divergent_is_vacuous(self):
         assert check_adequacy(FIX_SUCC, 32, 200).status == "vacuous"

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from conftest import shallow_stack
 
 from pcfkit.syntax import (
     App, Arrow, Iota, K, Pred, Succ, TypeMismatch, Zero, numeral,
@@ -47,9 +48,10 @@ def test_w_equal_demands_one_index():
 
 def test_w_equal_deeper_than_the_recursion_limit():
     for n in (5000, 20000):
-        deep = encode_term(numeral(n))
-        assert w_equal(TERM_SPEC, deep, encode_term(numeral(n)))
-        assert not w_equal(TERM_SPEC, deep, encode_term(numeral(n - 1)))
+        with shallow_stack():
+            deep = encode_term(numeral(n))
+            assert w_equal(TERM_SPEC, deep, encode_term(numeral(n)))
+            assert not w_equal(TERM_SPEC, deep, encode_term(numeral(n - 1)))
 
 
 def test_type_encoding_frozen_shapes():
