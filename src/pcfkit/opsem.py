@@ -13,6 +13,19 @@ a zipper (a path stack into the term) so that a reduction step costs
 O(1) amortized instead of a root-to-redex rescan. ``step`` and
 ``reduce`` share the pure engine's zipper: each of their steps is one
 ``_run_pure`` run with a budget of 1.
+
+The relation is call-by-name, so a run can reduce the same interned
+subterm to normal form many times over (the benchmark's ``mul 4 4``
+takes 168,861 steps). Every root redex has a head in normal form, so a
+subterm the zipper enters through a congruence rule is reduced to
+normal form before its frame pops, unless the budget runs out first,
+in a number of steps that does not depend on the context.
+``run_bounded`` on the pure engine therefore keeps a memo from such
+subterms to their normal form and step count, which lives for that one
+call, and reuses an entry whenever its steps fit in the budget left:
+the final term and the step count are exactly those of the memo-free
+run. ``step``, ``reduce`` and the compiled kernel run without the
+memo, and the memo-free ``_run_pure`` stays the reference engine.
 """
 
 from __future__ import annotations
@@ -129,7 +142,7 @@ def reduce(t: Term, max_steps: int):
     return cur, trace, cur.rule is not None
 
 
-def _run_pure(t, max_steps):
+def _run_pure(t, max_steps, memo=None):
     """Bounded no-trace reduction; returns (final, steps_used).
 
     Keeps the path to the current redex on a stack. After contracting,
@@ -137,7 +150,21 @@ def _run_pure(t, max_steps):
     subterm still steps (single-valuedness makes the congruence path
     above it stable), so no rescan from the root is needed. step and
     reduce take their one step through this same zipper with a budget
-    of 1.
+    of 1, without a memo.
+
+    ``memo``, when given, maps an interned subterm to (normal form,
+    steps). Every root redex has a head in normal form, so a subterm
+    the zipper enters through a congruence rule is reduced to normal
+    form before its frame pops, unless the budget runs out first, and
+    the steps it takes there do not depend on the context. Each frame
+    records the subterm it entered and the step count at entry; a frame
+    that pops on a normal form stores that subterm's entry, and one
+    that pops on an exhausted budget stores nothing. A later descent
+    into the same subterm splices the stored normal form in and adds
+    its steps when they fit in the budget, and steps as usual
+    otherwise, so final terms and step counts are those of the
+    memo-free run at every budget. run_bounded passes a fresh memo on
+    each call.
     """
     cur = t
     frames = []
@@ -148,19 +175,30 @@ def _run_pure(t, max_steps):
             # rebuild the spine one frame up; done at the root
             if not frames:
                 return cur, steps
-            other, cur_is_fun = frames.pop()
+            other, cur_is_fun, child, entry = frames.pop()
+            if r is None and memo is not None:
+                memo[child] = (cur, steps - entry)
             cur = App(cur, other) if cur_is_fun else App(other, cur)
             continue
         while r in CONGRUENCE_RULES:
             if r is _AL:
-                frames.append((cur.arg, True))
-                cur = cur.fun
+                child, other, cur_is_fun = cur.fun, cur.arg, True
             else:
-                frames.append((cur.fun, False))
-                cur = cur.arg
+                child, other, cur_is_fun = cur.arg, cur.fun, False
+            if memo is not None:
+                hit = memo.get(child)
+                if hit is not None and steps + hit[1] <= max_steps:
+                    nf, used = hit
+                    steps += used
+                    cur = App(nf, other) if cur_is_fun else App(other, nf)
+                    break
+            frames.append((other, cur_is_fun, child, steps))
+            cur = child
             r = cur.rule
-        cur = _contract(cur, r)
-        steps += 1
+        else:
+            # no memo hit on the way down: r contracts a root redex
+            cur = _contract(cur, r)
+            steps += 1
 
 
 try:
@@ -186,12 +224,18 @@ def engine_name() -> str:
 def run_bounded(t: Term, max_steps: int):
     """Bounded reduction without the trace; returns (final, steps_used).
 
-    Same final term as reduce, much cheaper on long runs, and the call
-    that dispatches to the compiled kernel when one is loaded.
+    Same final term and step count as reduce, much cheaper on long runs,
+    and the call that dispatches to the compiled kernel when one is
+    loaded. The pure engine runs with a memo of subterm normal forms
+    that lives for this one call. It keeps the step count exact because
+    every root redex has a head in normal form, so a subterm entered
+    through a congruence rule reaches its normal form, in steps that do
+    not depend on the context, before the zipper leaves it (see
+    _run_pure). The kernel runs without the memo.
     """
     if _kernel is not None:
         return _run_compiled(t, max_steps)
-    return _run_pure(t, max_steps)
+    return _run_pure(t, max_steps, {})
 
 
 def reaches_numeral(t: Term, k: int):

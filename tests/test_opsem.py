@@ -1,12 +1,15 @@
-"""One-step reduction, the rule oracle, bounded reduction, traces."""
+"""One-step reduction, the rule oracle, bounded reduction and its memo,
+traces."""
 
 import random
 
 import pytest
 
+from pcfkit import opsem
+from pcfkit.frontend import cli, elaborate, parse
 from pcfkit.opsem import (
-    Step, StepRelation, WrongType, reaches_numeral, reduce, run_bounded,
-    step, successors,
+    Step, StepRelation, WrongType, _run_pure, reaches_numeral, reduce,
+    run_bounded, step, successors,
 )
 from pcfkit.rules import RuleName
 from pcfkit.syntax import (
@@ -16,6 +19,17 @@ from pcfkit.syntax import (
 
 NN = Arrow(Iota, Iota)
 FIX_SUCC = App(Fix(Iota), Succ)
+
+# Addition and multiplication by recursion on the second argument, as in
+# the benchmark; call-by-name makes mul n n blow up in n.
+ADD_SRC = (r"(fix \f:nat -> nat -> nat. \x:nat. \y:nat."
+           r" ifz x (succ (f x (pred y))) y)")
+MUL_SRC = (r"(fix \m:nat -> nat -> nat. \x:nat. \y:nat."
+           r" ifz #0 (" + ADD_SRC + r" x (m x (pred y))) y)")
+
+
+def mul_term(n):
+    return elaborate(parse(f"{MUL_SRC} #{n} #{n}"))
 
 
 def test_pred_zero_steps_to_zero():
@@ -207,3 +221,60 @@ def test_step_relation_adapter():
     assert r.next(numeral(2)) is None
     assert r.eq(numeral(2), numeral(2))
     assert not r.eq(numeral(2), numeral(3))
+
+
+def assert_memo_exact(t, budget, want):
+    """The memoized run of t at budget gives the reference (final, steps)."""
+    final, steps = _run_pure(t, budget, {})
+    assert final is want[0] and steps == want[1], (t, budget)
+
+
+def test_memo_matches_the_reference_on_the_fuzz_corpora():
+    # the acceptance suites' corpora (seed 200 at depth 6, seed 201 at
+    # depth 5), base-type terms first, then as many of random types; the
+    # reference at each budget continues the memo-free run from the
+    # previous budget's reduct, because the relation is deterministic
+    for seed, count, depth in ((200, 1000, 6), (201, 500, 5)):
+        rng = random.Random(seed)
+        terms = [random_term(rng, Iota, depth=depth) for _ in range(count)]
+        terms += [random_term(rng, random_type(rng), depth=depth)
+                  for _ in range(count)]
+        for t in terms:
+            budgets = sorted({0, 1, 7, 100, 2000, rng.randrange(3000)})
+            cur, used, prev = t, 0, 0
+            for k in budgets:
+                cur, more = _run_pure(cur, k - prev)
+                used, prev = used + more, k
+                assert_memo_exact(t, k, (cur, used))
+
+
+def test_memo_matches_the_reference_around_the_step_count():
+    # k + 1 steps reach the step of the k-th reduct, so one memo-free run
+    # and a chain of steps give the reference at every budget
+    t = mul_term(3)
+    final, used = _run_pure(t, 7480)
+    for k in range(7480, 7501):
+        assert_memo_exact(t, k, (final, used))
+        s = step(final)
+        if s is not None:
+            final, used = s.next, used + 1
+    assert final is numeral(9) and used == 7494
+    t = mul_term(4)
+    final, used = _run_pure(t, 168_860)
+    assert_memo_exact(t, 168_860, (final, used))
+    assert_memo_exact(t, 168_861, (step(final).next, used + 1))
+    assert step(final).next is numeral(16)
+
+
+@pytest.mark.skipif(opsem.engine_name() != "pure",
+                    reason="the compiled kernel runs without the memo")
+def test_memo_is_exact_at_scale(capsys, tmp_path):
+    t = mul_term(5)
+    final, steps = run_bounded(t, 10 ** 8)
+    assert final is numeral(25) and steps == 6_808_981
+    final, steps = run_bounded(t, 6_808_980)
+    assert final.numeral is None and steps == 6_808_980
+    src = tmp_path / "mul.pcf"
+    src.write_text(f"{MUL_SRC} #5 #5\n", encoding="utf-8")
+    code = cli.main(["run", str(src), "--max-steps", "10000000"])
+    assert (code, capsys.readouterr().out) == (0, "25\n")
