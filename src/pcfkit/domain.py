@@ -49,7 +49,7 @@ class FinitePoset:
     poset laws are verified exhaustively at construction time.
     """
 
-    __slots__ = ("size", "_rows", "_cols")
+    __slots__ = ("size", "_rows")
 
     def __init__(self, leq):
         n = len(leq)
@@ -75,13 +75,8 @@ class FinitePoset:
                 reach |= rows[j]
             if reach & ~rows[i]:
                 raise ValueError(f"not transitive below element {i}")
-        cols = [0] * n
-        for i in range(n):
-            for j in _bits(rows[i]):
-                cols[j] |= 1 << i
         self.size = n
         self._rows = tuple(rows)
-        self._cols = tuple(cols)
 
     def le(self, i, j):
         return bool(self._rows[i] >> j & 1)
@@ -134,20 +129,12 @@ def lub(p, subset):
     return None
 
 
-def _max_in(p, mask):
-    # greatest element of the subset itself, or None
-    for m in _bits(mask):
-        if not mask & ~p._cols[m]:
-            return m
-    return None
-
-
 class FiniteDcpoBot:
     """A finite poset with a least element.
 
-    Finite directed subsets always contain their own maximum, so the
-    completeness half of the definition holds automatically; for carriers
-    of up to 6 points it is nevertheless confirmed subset by subset.
+    Every finite directed subset contains its own maximum, so the
+    completeness half of the definition holds automatically and is not
+    checked.
     The optional ``tables`` tuple records, for function-space instances,
     which map each carrier index stands for.
     """
@@ -159,10 +146,6 @@ class FiniteDcpoBot:
             raise ValueError("bottom index outside carrier")
         if poset._rows[bottom] != (1 << poset.size) - 1:
             raise ValueError("bottom is not below every element")
-        if poset.size <= 6:
-            for mask in range(1, 1 << poset.size):
-                if _directed_mask(poset, mask) and _max_in(poset, mask) is None:
-                    raise ValueError("directed subset without a maximum")
         self.poset = poset
         self.bottom = bottom
         self.tables = tables

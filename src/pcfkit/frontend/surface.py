@@ -15,13 +15,18 @@ the last argument of an application (`fix \\f:nat. e`).  Arrows
 associate to the right.  `ifz e0 e1 e2` takes the zero branch e0, the
 successor branch e1, and the scrutinee e2 last, mirroring the constant
 it parses to (this is not if-then-else order).  `#n` is one `NumLit`
-node; elaboration turns it into n successor applications around zero.
-`--` starts a comment running to end of line.  Programs must be closed;
-the parser tracks binders and rejects unbound names.
+node, n in ASCII digits; elaboration turns it into n successor
+applications around zero.  `--` starts a comment running to end of
+line.  Programs must be closed; the parser tracks binders and rejects
+unbound names.  One regular expression lexes the source, and one loop
+with an explicit stack of open parentheses parses it, so parsing has no
+nesting limit.
 """
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 from ..syntax import PcfType, Iota, Arrow
@@ -88,171 +93,132 @@ _PRIMS = {"zero": ZeroS, "succ": SuccS, "pred": PredS,
 _KEYWORDS = frozenset(_PRIMS) | {"nat"}
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # one of \ ( ) : . -> ident num nat zero succ pred ifz fix eof
-    value: object
-    line: int
-    col: int
+# kind is one of \ ( ) : . -> ident num nat zero succ pred ifz fix eof
+_Tok = namedtuple("_Tok", "kind value line col")
 
-
-def _is_ident_start(c):
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c):
-    return c.isalnum() or c in "_'"
+# One alternative per token class, tried in order; layout and comments
+# match no group, and the last alternative catches any other character.
+# `[^\W\d]` also admits numeric characters that are no letter, such as
+# '²'; _tokenize rejects a word that starts with one.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n) | [ \t\r]+ | --[^\n]*
+  | (?P<num>\#[0-9]*)
+  | (?P<word>[^\W\d][\w']*)
+  | (?P<sym>->|[\\():.])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def _tokenize(src):
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-        elif c == "\\":
-            toks.append(_Tok("\\", c, line, col))
-            i += 1
-            col += 1
-        elif src.startswith("->", i):
-            toks.append(_Tok("->", "->", line, col))
-            i += 2
-            col += 2
-        elif c in "():.":
-            toks.append(_Tok(c, c, line, col))
-            i += 1
-            col += 1
-        elif c == "#":
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            if j == i + 1:
+    line, start = 1, 0  # start: index of the current line's first character
+    for m in _TOKEN.finditer(src):
+        kind, text, col = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
+            toks.append(_Tok(text if text in _KEYWORDS else "ident",
+                             text, line, col))
+        elif kind == "sym":
+            toks.append(_Tok(text, text, line, col))
+        elif kind == "num":
+            if len(text) == 1:
                 raise ParseError("'#' must be followed by digits", line, col)
             try:
-                value = int(src[i + 1:j])
+                value = int(text[1:])
             except ValueError:  # past sys.get_int_max_str_digits()
                 raise ParseError("numeral literal has too many digits",
                                  line, col) from None
             toks.append(_Tok("num", value, line, col))
-            col += j - i
-            i = j
-        elif _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(src[j]):
-                j += 1
-            word = src[i:j]
-            kind = word if word in _KEYWORDS else "ident"
-            toks.append(_Tok(kind, word, line, col))
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("eof", None, line, col))
+        elif kind is not None:  # "bad", or a word led by a non-letter
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+    toks.append(_Tok("eof", None, line, len(src) - start + 1))
     return toks
 
 
-_ATOM_STARTS = frozenset(
-    ["(", "ident", "num", "zero", "succ", "pred", "ifz", "fix"])
+def _expect(t, kind, what):
+    if t.kind != kind:
+        raise ParseError(f"expected {what}, found {t.value!r}"
+                         if t.kind != "eof" else f"expected {what}",
+                         t.line, t.col)
+    return t
 
 
-class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind, what):
-        t = self.next()
-        if t.kind != kind:
-            raise ParseError(f"expected {what}, found {t.value!r}"
-                             if t.kind != "eof" else f"expected {what}",
+def _parse_type(toks, i):
+    """The type starting at toks[i], and the index just past it."""
+    doms = [[]]  # per open parenthesis, the domains of its arrows so far
+    while True:
+        t = toks[i]
+        i += 1
+        if t.kind == "(":
+            doms.append([])
+            continue
+        if t.kind != "nat":
+            raise ParseError(f"expected a type, found {t.value!r}",
                              t.line, t.col)
-        return t
-
-    def parse_type(self):
-        left = self.parse_type_atom()
-        if self.peek().kind == "->":
-            self.next()
-            return Arrow(left, self.parse_type())
-        return left
-
-    def parse_type_atom(self):
-        t = self.next()
-        if t.kind == "nat":
-            return Iota
-        if t.kind == "(":
-            inner = self.parse_type()
-            self.expect(")", "')'")
-            return inner
-        raise ParseError(f"expected a type, found {t.value!r}", t.line, t.col)
-
-    def parse_expr(self, bound):
-        if self.peek().kind == "\\":
-            return self.parse_lambda(bound)
-        return self.parse_app(bound)
-
-    def parse_lambda(self, bound):
-        self.expect("\\", "'\\'")
-        name = self.expect("ident", "a variable name").value
-        self.expect(":", "':'")
-        annot = self.parse_type()
-        self.expect(".", "'.'")
-        body = self.parse_expr(bound | {name})
-        return Lam(name, annot, body)
-
-    def parse_app(self, bound):
-        e = self.parse_atom(bound)
-        while True:
-            k = self.peek().kind
-            if k in _ATOM_STARTS:
-                e = App(e, self.parse_atom(bound))
-            elif k == "\\":
-                return App(e, self.parse_lambda(bound))
-            else:
-                return e
-
-    def parse_atom(self, bound):
-        t = self.next()
-        if t.kind in _PRIMS:
-            return _PRIMS[t.kind]
-        if t.kind == "num":
-            return NumLit(t.value)
-        if t.kind == "ident":
-            if t.value not in bound:
-                raise UnboundVariable(t.value, t.line, t.col)
-            return Var(t.value)
-        if t.kind == "(":
-            inner = self.parse_expr(bound)
-            self.expect(")", "')'")
-            return inner
-        raise ParseError(
-            f"expected a term, found {t.value!r}" if t.kind != "eof"
-            else "unexpected end of input", t.line, t.col)
+        ty = Iota
+        while toks[i].kind != "->":  # ty ends its parenthesis
+            for dom in reversed(doms.pop()):
+                ty = Arrow(dom, ty)
+            if not doms:
+                return ty, i
+            _expect(toks[i], ")", "')'")
+            i += 1
+        doms[-1].append(ty)
+        i += 1
 
 
 def parse(src):
     """Parse a closed program; raises ParseError with position info."""
-    p = _Parser(_tokenize(src))
-    e = p.parse_expr(frozenset())
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input starting with {t.value!r}",
-                         t.line, t.col)
-    return e
+    toks = _tokenize(src)
+    # The innermost open parenthesis (or the whole program) is held in
+    # lams, bound and spine: its lambdas so far, each with the spine it
+    # is the last argument of (a lambda's body runs to the group's end);
+    # the names they bind; and the application spine since the last
+    # lambda, None before its first atom.  Enclosing groups wait on stack.
+    stack, lams, bound, spine = [], [], frozenset(), None
+    i = 0
+    while True:
+        t = toks[i]
+        i += 1
+        k = t.kind
+        if k in _PRIMS:
+            e = _PRIMS[k]
+        elif k == "num":
+            e = NumLit(t.value)
+        elif k == "ident":
+            if t.value not in bound:
+                raise UnboundVariable(t.value, t.line, t.col)
+            e = Var(t.value)
+        elif k == "(":
+            stack.append((lams, bound, spine))
+            lams, spine = [], None
+            continue
+        elif k == "\\":
+            name = _expect(toks[i], "ident", "a variable name").value
+            _expect(toks[i + 1], ":", "':'")
+            annot, i = _parse_type(toks, i + 2)
+            _expect(toks[i], ".", "'.'")
+            i += 1
+            lams.append((spine, name, annot))
+            bound, spine = bound | {name}, None
+            continue
+        elif spine is None:
+            raise ParseError(
+                f"expected a term, found {t.value!r}" if k != "eof"
+                else "unexpected end of input", t.line, t.col)
+        else:  # t ends the innermost group
+            e = spine
+            for fun, name, annot in reversed(lams):
+                e = Lam(name, annot, e)
+                if fun is not None:
+                    e = App(fun, e)
+            if not stack:
+                if k != "eof":
+                    raise ParseError(
+                        f"trailing input starting with {t.value!r}",
+                        t.line, t.col)
+                return e
+            _expect(t, ")", "')'")
+            lams, bound, spine = stack.pop()
+        spine = e if spine is None else App(spine, e)

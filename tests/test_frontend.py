@@ -22,7 +22,7 @@ from pcfkit.scott import Interpreter, denote
 from pcfkit.lifting import unit
 from pcfkit.syntax import (
     App as CApp, Arrow, Ifz, Iota, K, S, TypeMismatch, Zero, numeral,
-    parse_term_sexp, random_type, term_to_sexp,
+    parse_term_sexp, random_type, term_to_sexp, type_surface,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -66,6 +66,8 @@ class TestParse:
         assert lam.annot == Arrow(Iota, Arrow(Iota, Iota))
         lam = parse("\\f:(nat->nat)->nat. zero")
         assert lam.annot == Arrow(Arrow(Iota, Iota), Iota)
+        lam = parse("\\f:(nat->nat)->nat->nat. zero")
+        assert lam.annot == Arrow(Arrow(Iota, Iota), Arrow(Iota, Iota))
 
     def test_trailing_lambda_is_last_argument(self):
         got = parse("fix \\x:nat. x")
@@ -83,6 +85,13 @@ class TestParse:
             parse("succ )")
         with pytest.raises(ParseError, match="line 2"):
             parse("succ\n @")
+        # the end of input is where the source ends, after any comment
+        with pytest.raises(ParseError) as exc:
+            parse("(zero -- note")
+        assert str(exc.value) == "expected ')' at line 1, column 14"
+        with pytest.raises(ParseError) as exc:
+            parse("-- note")
+        assert str(exc.value) == "unexpected end of input at line 1, column 8"
 
     def test_unbound_variables(self):
         with pytest.raises(UnboundVariable, match="'y'"):
@@ -96,6 +105,23 @@ class TestParse:
         for src in bad:
             with pytest.raises(ParseError):
                 parse(src)
+
+    def test_deep_nesting_needs_no_stack(self):
+        with shallow_stack():
+            assert parse("(" * 3000 + "zero" + ")" * 3000) is ZeroS
+            spine = parse("succ (" * 3000 + "zero" + ")" * 3000)
+            arrows = parse("\\x:" + "nat -> " * 3000 + "nat. x").annot
+            nested = parse("\\x:" + "(" * 3000 + "nat" + " -> nat)" * 3000
+                           + ". " + "(" * 3000 + "x" + ")" * 3000)
+        for _ in range(3000):
+            assert spine.fun is SuccS
+            spine = spine.arg
+            assert arrows.domain is Iota
+            arrows = arrows.codomain
+            assert nested.annot.codomain is Iota
+            nested = Lam("x", nested.annot.domain, nested.body)
+        assert (spine, arrows) == (ZeroS, Iota)
+        assert nested == Lam("x", Iota, Var("x"))
 
 
 class TestElaborate:
@@ -278,6 +304,19 @@ def _random_surface(rng, env, ty, depth):
     return App(FixS, f)
 
 
+def _show(e):
+    """Surface syntax of e, fully parenthesized but for its types."""
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, NumLit):
+        return f"#{e.n}"
+    if isinstance(e, sf.Prim):
+        return e.tag
+    if isinstance(e, Lam):
+        return f"(\\{e.name}:{type_surface(e.annot)}. {_show(e.body)})"
+    return f"({_show(e.fun)} {_show(e.arg)})"
+
+
 class TestCompilerCorrectness:
     def test_against_big_step_oracle(self):
         rng = random.Random(100)
@@ -310,6 +349,13 @@ class TestCompilerCorrectness:
             t = elaborate(e)
             assert t.ty is ty
             assert parse_term_sexp(term_to_sexp(t)) is t
+
+    @pytest.mark.parametrize("seed", [100, 101])
+    def test_printed_programs_parse_back(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            e = _random_surface(rng, {}, random_type(rng, 2), 4)
+            assert parse(_show(e)) == e
 
 
 class TestCli:
@@ -429,9 +475,9 @@ class TestCli:
 
     @pytest.mark.parametrize("sub", ["check", "compile", "run", "denote"])
     def test_too_deep_input_is_an_internal_error(self, sub, tmp_path):
-        # the recursive-descent parser overflows on deep parentheses
+        # elaboration recurses once per nested argument and overflows here
         deep = tmp_path / "deep.pcf"
-        deep.write_text("(" * 3000 + "zero" + ")" * 3000 + "\n")
+        deep.write_text("succ (" * 3000 + "zero" + ")" * 3000 + "\n")
         proc = run_module(sub, str(deep))
         assert proc.returncode == 4
         assert proc.stderr.startswith("internal error: ")
@@ -460,6 +506,38 @@ class TestCli:
         argv = [sub, str(deep)] + ([str(other)] if sub == "eq" else [])
         proc = run_module(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+    @pytest.mark.parametrize("src, flags, codes", [
+        ("#5000", {}, "00000000"),
+        (ADD_SRC + " #200 #200",
+         {"denote": ["--fuel", "300"], "adequacy": ["--fuel", "300"],
+          "sound": ["--fuel", "300", "--max-steps", "1000"]}, "00010100"),
+        ("(" * 3000 + "zero" + ")" * 3000, {}, "00000000"),
+        ("zero " * 2000, {}, "22222222"),
+    ], ids=["literal", "add", "parens", "spine"])
+    def test_large_inputs_get_their_exit_codes(self, src, flags, codes,
+                                               capsys, tmp_path):
+        path = tmp_path / "in.pcf"
+        path.write_text(src + "\n")
+        subs = ("check", "compile", "step", "run", "denote", "adequacy",
+                "sound", "eq")
+        for sub, want in zip(subs, map(int, codes)):
+            argv = [sub, str(path)] + ([str(path)] if sub == "eq" else [])
+            code, out, err = self.run_cli(capsys, *argv, *flags.get(sub, []))
+            assert code == want, (sub, err)
+            if sub == "check":
+                assert out == ("" if want else "nat\n")
+            assert err.count("\n") == (1 if want == 2 else 0)
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+    def test_hash_takes_ascii_digits_only(self, digit, capsys, tmp_path):
+        # superscript two and Arabic-Indic three are digits to str.isdigit
+        bad = tmp_path / "bad.pcf"
+        bad.write_text("#" + digit + "\n", encoding="utf-8")
+        code, out, err = self.run_cli(capsys, "run", str(bad))
+        assert (code, out, err) == (3, "", "parse error: '#' must be followed"
+                                           " by digits at line 1, column 1\n")
 
     def test_non_utf8_input_is_unreadable(self, capsys, tmp_path):
         bad = tmp_path / "bad.pcf"
