@@ -26,6 +26,13 @@ call, and reuses an entry whenever its steps fit in the budget left:
 the final term and the step count are exactly those of the memo-free
 run. ``step``, ``reduce`` and the compiled kernel run without the
 memo, and the memo-free ``_run_pure`` stays the reference engine.
+
+Unrolling ``fix f`` where ``f (fix f)`` steps inside its argument (f is
+succ, pred or ifz s t) goes straight back into ``fix f`` under a frame
+for f, so the pure engine interns no ``f (fix f)`` node that would die
+at once; the node is built only when the budget runs out there. This
+serves ``step``, ``reduce`` and ``run_bounded`` alike, and
+``successors`` still derives the unrolled term in full.
 """
 
 from __future__ import annotations
@@ -52,6 +59,9 @@ class WrongType(TypeError):
 
 
 _AL = RuleName.AppLeft
+_FIX = RuleName.FixRule
+# congruence rules that step inside the argument
+_INTO_ARG = CONGRUENCE_RULES - {_AL}
 
 
 def _contract(t, r):
@@ -165,6 +175,14 @@ def _run_pure(t, max_steps, memo=None):
     otherwise, so final terms and step counts are those of the
     memo-free run at every budget. run_bounded passes a fresh memo on
     each call.
+
+    The fix rule takes one shortcut. When ``fix f ~> f (fix f)`` gives
+    a term that steps inside its argument (f is succ, pred or ifz s t),
+    the zipper pushes f's frame and enters the same ``fix f`` again,
+    with the usual budget check, instead of interning ``f (fix f)``
+    just to descend out of it. Nothing else holds that node, so it
+    would die and be interned again at the next unrolling. If the
+    budget runs out first, the pop builds it as any frame's parent.
     """
     cur = t
     frames = []
@@ -197,8 +215,14 @@ def _run_pure(t, max_steps, memo=None):
             r = cur.rule
         else:
             # no memo hit on the way down: r contracts a root redex
-            cur = _contract(cur, r)
             steps += 1
+            if r is _FIX and syntax._app_rule(cur.arg, cur) in _INTO_ARG:
+                # f (fix f) steps inside fix f: re-enter fix f under f's
+                # frame. No memo lookup: such a fix f never reaches a
+                # normal form, so the memo never holds it.
+                frames.append((cur.arg, False, cur, steps))
+            else:
+                cur = _contract(cur, r)
 
 
 try:

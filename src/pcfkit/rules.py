@@ -26,6 +26,10 @@ class RuleName(enum.Enum):
     PredArg = "pred-arg"      # s ~> t  implies  pred s ~> pred t
     IfzScrut = "ifz-scrut"    # r ~> r' implies  ifz s t r ~> ifz s t r'
 
+    # members are singletons; identity hashing spares the engine a
+    # Python-level Enum.__hash__ call per membership test
+    __hash__ = object.__hash__
+
 
 # The four congruence rules descend into a subterm; the other seven
 # contract a redex at the root.

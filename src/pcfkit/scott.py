@@ -13,12 +13,11 @@ change one.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .lifting import BOT, kleisli, fmap, render, unit
 from .opsem import WrongType, reaches_numeral, reduce
-from .syntax import Iota, fold, type_of, term_to_sexp
+from .syntax import Iota, fold, type_of, term_to_sexp, weak_pool
 
 __all__ = [
     "Func", "Interpreter", "Verdict",
@@ -36,33 +35,40 @@ _ARITY = {"succ": 1, "pred": 1, "ifz": 3, "k": 2, "s": 3, "fix": 3}
 class Func:
     """An arrow-type value: constant ``tag`` applied to ``args``.
 
-    Instances are interned through a weak pool, as `syntax.Term` is, so
-    ``is`` means the same constant applied to the same arguments.  The
-    pool is single-threaded, as `syntax`'s is.  Applications are
+    Instances are interned through a `syntax.weak_pool`, as
+    `syntax.Term` is, so ``is`` means the same constant applied to the
+    same arguments: a plain dict from key to weak reference, whose
+    entries leave it when their values die.  The pool is
+    single-threaded, as `syntax`'s is.  Applications are
     memoized per argument in ``_cache``, keyed by the argument itself:
     a partial natural by its value, a Func by identity, which interning
     makes structural.
     """
 
     __slots__ = ("tag", "args", "_cache", "__weakref__")
-    _pool: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     def __new__(cls, tag, args):
         key = (tag, args)
-        f = cls._pool.get(key)
-        if f is None:
-            f = super().__new__(cls)
-            f.tag = tag
-            f.args = args
-            f._cache = {}
-            cls._pool[key] = f
-        return f
+        ref = _pool.get(key)
+        if ref is not None:
+            f = ref()
+            if f is not None:
+                return f
+        f = super().__new__(cls)
+        f.tag = tag
+        f.args = args
+        f._cache = {}
+        return _pool_add(key, f)
 
     def apply(self, arg):
         return _apply(self, arg)
 
     def __repr__(self):
         return f"Func({self.tag!r}, {self.args!r})"
+
+
+Func._pool, _pool_add = weak_pool()
+_pool = Func._pool
 
 
 def bottom_value(sigma):

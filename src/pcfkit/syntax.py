@@ -11,9 +11,12 @@ every term carries three facts computed once at construction time:
 The reduction engine and the denotational interpreter lean on these
 fields heavily; nothing in this module ever rescans a subtree.
 
-Interning is single-threaded: ``_intern`` looks a key up and then
-inserts it, so two threads building the same term at once can end up
-with two non-identical copies, and ``is`` stops meaning equal.
+Terms are interned weakly, through ``weak_pool``: a plain dict from a
+term's key to a weak reference that leaves the dict when its term dies,
+so a pool holds only live terms and ``len`` counts them. Interning is
+single-threaded: ``_intern`` looks a key up and then inserts it, so two
+threads building the same term at once can end up with two
+non-identical copies, and ``is`` stops meaning equal.
 """
 
 from __future__ import annotations
@@ -36,10 +39,11 @@ class PcfType:
     """A PCF type: the base type of naturals, or an arrow between types.
 
     ``domain``/``codomain`` are None exactly for the base type. Instances
-    are interned, so ``==`` is pointer comparison.
+    are interned for good, so ``==`` is pointer comparison, and each
+    keeps its S-expression in ``sexp`` once ``type_to_sexp`` has made it.
     """
 
-    __slots__ = ("domain", "codomain")
+    __slots__ = ("domain", "codomain", "sexp")
     _pool: dict = {}
 
     def __new__(cls, domain, codomain):
@@ -49,6 +53,7 @@ class PcfType:
             cached = super().__new__(cls)
             cached.domain = domain
             cached.codomain = codomain
+            cached.sexp = "iota" if domain is None else None
             cls._pool[key] = cached
         return cached
 
@@ -80,6 +85,42 @@ class TypeMismatch(TypeError):
         )
 
 
+class _PoolRef(weakref.ref):
+    """A weak reference that carries its key in the pool that holds it.
+
+    No Python ``__init__``: the C constructor makes it, and the pool
+    sets ``key`` afterwards.
+    """
+
+    __slots__ = ("key",)
+
+
+def weak_pool():
+    """A weak interning pool: ``(pool, add)``.
+
+    ``pool`` is a plain dict from key to a weak reference to the
+    interned object, so a hit is ``pool.get(key)`` and one call of the
+    reference, which gives None if the object has died. ``add(key,
+    obj)`` enters obj under key and returns it. When an object dies its
+    entry leaves the pool at once, unless a newer entry has replaced it,
+    so ``len(pool)`` counts live objects. Keys hold their parts
+    strongly. Single-threaded.
+    """
+    pool = {}
+
+    def remove(ref):
+        if pool.get(ref.key) is ref:
+            del pool[ref.key]
+
+    def add(key, obj):
+        ref = _PoolRef(obj, remove)
+        ref.key = key
+        pool[key] = ref
+        return obj
+
+    return pool, add
+
+
 class Term:
     """A combinatory PCF term.
 
@@ -92,12 +133,16 @@ class Term:
     __slots__ = ("tag", "fun", "arg", "params", "ty", "numeral", "rule",
                  "__weakref__")
 
-    # Weak interning: terms die when the last outside reference does, so
-    # long fuzzing runs do not pin every intermediate reduct in memory.
-    _pool: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
     def __repr__(self):
         return term_to_sexp(self)
+
+
+# Weak interning: terms die when the last outside reference does, so long
+# fuzzing runs do not pin every intermediate reduct in memory. The pool is
+# a plain dict from key to weak reference (see weak_pool), used from one
+# thread only.
+Term._pool, _pool_add = weak_pool()
+_pool = Term._pool
 
 
 _ARROW_NN = Arrow(Iota, Iota)
@@ -160,9 +205,11 @@ def _app_rule(f, a):
 
 def _intern(tag, fun, arg, params):
     key = (tag, fun, arg, params)
-    t = Term._pool.get(key)
-    if t is not None:
-        return t
+    ref = _pool.get(key)
+    if ref is not None:
+        t = ref()
+        if t is not None:
+            return t
     t = object.__new__(Term)
     t.tag = tag
     t.fun = fun
@@ -183,8 +230,7 @@ def _intern(tag, fun, arg, params):
         t.ty = _constant_type(tag, params)
         t.numeral = 0 if tag == "zero" else None
         t.rule = None
-    Term._pool[key] = t
-    return t
+    return _pool_add(key, t)
 
 
 Zero = _intern("zero", None, None, ())
@@ -295,9 +341,22 @@ def term_size(t: Term) -> int:
 # Canonical S-expression form (bit-exact external format)
 
 def type_to_sexp(ty: PcfType) -> str:
-    if ty.domain is None:
-        return "iota"
-    return f"(arr {type_to_sexp(ty.domain)} {type_to_sexp(ty.codomain)})"
+    # iterative, like term_to_sexp: arrows nest too deep for recursion.
+    # Only the type asked for keeps its string, not each subtype, so what
+    # is kept is never longer than what was returned.
+    if ty.sexp is None:
+        out = []
+        stack = [ty]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, str):
+                out.append(x)
+            elif x.sexp is not None:
+                out.append(x.sexp)
+            else:
+                stack += [")", x.codomain, " ", x.domain, "(arr "]
+        ty.sexp = "".join(out)
+    return ty.sexp
 
 
 def term_to_sexp(t: Term) -> str:
@@ -405,12 +464,19 @@ def parse_type_sexp(text: str) -> PcfType:
 
 def type_surface(ty: PcfType) -> str:
     """Surface rendering: nat, nat -> nat, (nat -> nat) -> nat."""
-    if ty.domain is None:
-        return "nat"
-    dom = type_surface(ty.domain)
-    if ty.domain.is_arrow:
-        dom = f"({dom})"
-    return f"{dom} -> {type_surface(ty.codomain)}"
+    out = []
+    stack = [ty]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif x.domain is None:
+            out.append("nat")
+        elif x.domain.is_arrow:
+            stack += [x.codomain, ") -> ", x.domain, "("]
+        else:
+            stack += [x.codomain, " -> ", x.domain]
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

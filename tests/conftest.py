@@ -3,9 +3,11 @@
 The acceptance module appends (number, passed, name, detail) rows to
 ``ACCEPTANCE_RESULTS``; the hook prints them as a block in the summary
 area, where pytest's output capture cannot swallow them.
-``shallow_stack`` lowers the recursion limit around a block.
+``shallow_stack`` lowers the recursion limit around a block;
+``collector_off`` runs a block with the cyclic garbage collector off.
 """
 
+import gc
 import sys
 from contextlib import contextmanager
 
@@ -27,6 +29,20 @@ def shallow_stack():
         yield
     finally:
         sys.setrecursionlimit(old)
+
+
+@contextmanager
+def collector_off():
+    """Run the block with the cyclic collector off, after collecting
+    what earlier tests left, so that only reference counting frees
+    objects inside it and a weak pool's size moves with the block's own
+    objects alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

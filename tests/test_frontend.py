@@ -507,16 +507,19 @@ class TestCli:
         proc = run_module(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
-    @pytest.mark.parametrize("src, flags, codes", [
-        ("#5000", {}, "00000000"),
+    @pytest.mark.parametrize("src, flags, codes, typed", [
+        ("#5000", {}, "00000000", "nat"),
         (ADD_SRC + " #200 #200",
          {"denote": ["--fuel", "300"], "adequacy": ["--fuel", "300"],
-          "sound": ["--fuel", "300", "--max-steps", "1000"]}, "00010100"),
-        ("(" * 3000 + "zero" + ")" * 3000, {}, "00000000"),
-        ("zero " * 2000, {}, "22222222"),
-    ], ids=["literal", "add", "parens", "spine"])
+          "sound": ["--fuel", "300", "--max-steps", "1000"]}, "00010100",
+         "nat"),
+        ("(" * 3000 + "zero" + ")" * 3000, {}, "00000000", "nat"),
+        ("zero " * 2000, {}, "22222222", None),
+        ("\\x:" + "nat -> " * 3000 + "nat. x", {}, "00012220",
+         "(" + "nat -> " * 3000 + "nat) -> " + "nat -> " * 3000 + "nat"),
+    ], ids=["literal", "add", "parens", "spine", "arrows"])
     def test_large_inputs_get_their_exit_codes(self, src, flags, codes,
-                                               capsys, tmp_path):
+                                               typed, capsys, tmp_path):
         path = tmp_path / "in.pcf"
         path.write_text(src + "\n")
         subs = ("check", "compile", "step", "run", "denote", "adequacy",
@@ -526,7 +529,7 @@ class TestCli:
             code, out, err = self.run_cli(capsys, *argv, *flags.get(sub, []))
             assert code == want, (sub, err)
             if sub == "check":
-                assert out == ("" if want else "nat\n")
+                assert out == ("" if want else typed + "\n")
             assert err.count("\n") == (1 if want == 2 else 0)
             assert "Traceback" not in err
 

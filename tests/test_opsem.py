@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import collector_off
 from pcfkit import opsem
 from pcfkit.frontend import cli, elaborate, parse
 from pcfkit.opsem import (
@@ -13,8 +14,8 @@ from pcfkit.opsem import (
 )
 from pcfkit.rules import RuleName
 from pcfkit.syntax import (
-    App, Arrow, Fix, Ifz, Iota, K, Pred, S, Succ, Zero, numeral, random_term,
-    random_type, type_of,
+    App, Arrow, Fix, Ifz, Iota, K, Pred, S, Succ, Term, Zero, numeral,
+    random_term, random_type, type_of,
 )
 
 NN = Arrow(Iota, Iota)
@@ -221,6 +222,37 @@ def test_step_relation_adapter():
     assert r.next(numeral(2)) is None
     assert r.eq(numeral(2), numeral(2))
     assert not r.eq(numeral(2), numeral(3))
+
+
+@pytest.mark.parametrize("f", [Succ, Pred, App(App(Ifz, Zero), Zero)],
+                         ids=["succ", "pred", "ifz"])
+def test_fix_unrolls_the_same_on_every_path(f):
+    # fix f ~> f (fix f) steps inside its argument for these f, so n
+    # steps give f^n (fix f); step by step, each reduct is also the one
+    # successors derives
+    t = App(Fix(Iota), f)
+    want = t
+    for n in range(21):
+        final, trace, exhausted = reduce(t, n)
+        assert final is want and len(trace) == n and exhausted
+        assert run_bounded(t, n) == (want, n)
+        assert _run_pure(t, n) == (want, n)
+        assert successors(want) == [App(f, want)]
+        want = App(f, want)
+    want = t
+    for _ in range(50_000):
+        want = App(f, want)
+    assert run_bounded(t, 50_000) == (want, 50_000)
+    assert _run_pure(t, 50_000) == (want, 50_000)
+
+
+def test_a_dropped_run_leaves_the_pool():
+    with collector_off():
+        before = len(Term._pool)
+        final, _ = run_bounded(FIX_SUCC, 50_000)
+        assert len(Term._pool) == before + 50_000
+        del final
+        assert len(Term._pool) == before
 
 
 def assert_memo_exact(t, budget, want):

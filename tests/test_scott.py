@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import collector_off
 from pcfkit.lifting import BOT, unit
 from pcfkit.opsem import WrongType
 from pcfkit.scott import (
@@ -75,6 +76,22 @@ def test_arrow_values_are_interned():
     k3 = denote(App(K(Iota, Iota), numeral(3)), 0)
     assert denote(App(K(Iota, Iota), App(Pred, numeral(4))), 0) is k3
     assert Func("k", ()).apply(unit(3)) is k3
+
+
+def test_a_dropped_value_leaves_the_pool_at_once():
+    def build():
+        return Func("k", (Func("k", (unit(4321),)),))
+
+    with collector_off():
+        before = len(Func._pool)
+        f = build()
+        assert len(Func._pool) == before + 2
+        del f
+        assert len(Func._pool) == before
+        f = build()
+        assert build() is f
+        del f
+        assert len(Func._pool) == before
 
 
 def test_denote_rejects_ill_typed_terms():

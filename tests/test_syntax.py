@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import collector_off, shallow_stack
 from pcfkit.syntax import (
     App, Arrow, Fix, Ifz, Iota, K, Pred, S, Succ, Term, TypeMismatch, Zero,
     as_numeral, fold, numeral, parse_term_sexp, parse_type_sexp, random_term,
@@ -136,6 +137,22 @@ def test_interning_makes_equality_structural():
     assert K(Iota, Iota) is not K(Iota, NN)
 
 
+def test_a_dropped_term_leaves_the_pool_at_once():
+    def build():
+        return App(Pred, numeral(4321))
+
+    with collector_off():
+        before = len(Term._pool)
+        t = build()
+        assert len(Term._pool) > before
+        del t
+        assert len(Term._pool) == before
+        t = build()
+        assert build() is t
+        del t
+        assert len(Term._pool) == before
+
+
 def test_type_of_is_deterministic_on_fuzzed_terms():
     rng = random.Random(11)
     for _ in range(300):
@@ -178,6 +195,19 @@ def test_sexp_round_trip_fuzz():
 def test_sexp_round_trip_deep_numeral():
     t = numeral(500)
     assert parse_term_sexp(term_to_sexp(t)) is t
+
+
+def test_deep_arrow_types_print_without_stack():
+    right = left = Iota
+    for _ in range(3000):
+        right = Arrow(Iota, right)
+        left = Arrow(left, Iota)
+    with shallow_stack():
+        assert parse_type_sexp(type_to_sexp(right)) is right
+        assert parse_type_sexp(type_to_sexp(left)) is left
+        assert type_surface(right) == "nat -> " * 3000 + "nat"
+        assert type_surface(left) == ("(" * 2999 + "nat -> nat"
+                                      + ") -> nat" * 2999)
 
 
 def test_sexp_rejects_garbage():
