@@ -6,13 +6,10 @@ oracle the single-valuedness tests compare against; reduce iterates step
 with a budget and records the trace; reaches_numeral is the bounded
 semi-decision procedure for "this base term computes a numeral".
 
-The bounded no-trace path dispatches to the compiled kernel whenever
-``pcfkit._kernel`` imports, and to the pure engine otherwise; the pure
-engine is the reference the kernel is tested against. Both engines walk
-a zipper (a path stack into the term) so that a reduction step costs
-O(1) amortized instead of a root-to-redex rescan. ``step`` and
-``reduce`` share the pure engine's zipper: each of their steps is one
-``_run_pure`` run with a budget of 1.
+The engine walks a zipper (a path stack into the term) so that a
+reduction step costs O(1) amortized instead of a root-to-redex rescan.
+``step``, ``reduce`` and ``run_bounded`` all run it: each step of
+``step`` and ``reduce`` is one ``_run_pure`` run with a budget of 1.
 
 The relation is call-by-name, so a run can reduce the same interned
 subterm to normal form many times over (the benchmark's ``mul 4 4``
@@ -20,12 +17,12 @@ takes 168,861 steps). Every root redex has a head in normal form, so a
 subterm the zipper enters through a congruence rule is reduced to
 normal form before its frame pops, unless the budget runs out first,
 in a number of steps that does not depend on the context.
-``run_bounded`` on the pure engine therefore keeps a memo from such
-subterms to their normal form and step count, which lives for that one
-call, and reuses an entry whenever its steps fit in the budget left:
-the final term and the step count are exactly those of the memo-free
-run. ``step``, ``reduce`` and the compiled kernel run without the
-memo, and the memo-free ``_run_pure`` stays the reference engine.
+``run_bounded`` therefore keeps a memo from such subterms to their
+normal form and step count, which lives for that one call, and reuses
+an entry whenever its steps fit in the budget left: the final term and
+the step count are exactly those of the memo-free run. ``step`` and
+``reduce`` run without the memo, and the memo-free ``_run_pure`` stays
+the reference.
 
 Unrolling ``fix f`` where ``f (fix f)`` steps inside its argument (f is
 succ, pred or ifz s t) goes straight back into ``fix f`` under a frame
@@ -225,40 +222,21 @@ def _run_pure(t, max_steps, memo=None):
                 cur = _contract(cur, r)
 
 
-try:
-    from . import _kernel  # type: ignore[attr-defined]
-except ImportError:
-    _kernel = None
-
-
-def _run_compiled(t, max_steps):
-    """_run_pure on the compiled kernel: encode t into flat arrays, reduce
-    there, and decode the result back into interned terms."""
-    from . import arena
-    enc = arena.encode(t)
-    root, steps = _kernel.run(enc.tags, enc.fun, enc.arg, enc.numv,
-                              enc.rule, enc.root, max_steps)
-    return arena.decode(enc, root), steps
-
-
 def engine_name() -> str:
-    return "compiled" if _kernel is not None else "pure"
+    """The name of the reduction engine, kept for callers that record it."""
+    return "pure"
 
 
 def run_bounded(t: Term, max_steps: int):
     """Bounded reduction without the trace; returns (final, steps_used).
 
-    Same final term and step count as reduce, much cheaper on long runs,
-    and the call that dispatches to the compiled kernel when one is
-    loaded. The pure engine runs with a memo of subterm normal forms
-    that lives for this one call. It keeps the step count exact because
-    every root redex has a head in normal form, so a subterm entered
-    through a congruence rule reaches its normal form, in steps that do
-    not depend on the context, before the zipper leaves it (see
-    _run_pure). The kernel runs without the memo.
+    Same final term and step count as reduce, much cheaper on long runs:
+    it runs _run_pure with a memo of subterm normal forms that lives for
+    this one call. The memo keeps the step count exact because every
+    root redex has a head in normal form, so a subterm entered through a
+    congruence rule reaches its normal form, in steps that do not depend
+    on the context, before the zipper leaves it (see _run_pure).
     """
-    if _kernel is not None:
-        return _run_compiled(t, max_steps)
     return _run_pure(t, max_steps, {})
 
 

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from conftest import collector_off
-from pcfkit import opsem
 from pcfkit.frontend import cli, elaborate, parse
 from pcfkit.opsem import (
     Step, StepRelation, WrongType, _run_pure, reaches_numeral, reduce,
@@ -298,8 +297,6 @@ def test_memo_matches_the_reference_around_the_step_count():
     assert step(final).next is numeral(16)
 
 
-@pytest.mark.skipif(opsem.engine_name() != "pure",
-                    reason="the compiled kernel runs without the memo")
 def test_memo_is_exact_at_scale(capsys, tmp_path):
     t = mul_term(5)
     final, steps = run_bounded(t, 10 ** 8)
