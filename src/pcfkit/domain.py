@@ -26,8 +26,6 @@ __all__ = [
     "diamond",
     "flat",
     "random_dcpo",
-    "parse_poset",
-    "format_poset",
 ]
 
 
@@ -337,31 +335,3 @@ def random_dcpo(rng, size):
             continue
         return FiniteDcpoBot(FinitePoset(rel), bottoms[0])
 
-
-def format_poset(p):
-    lines = [str(p.size)]
-    for i in range(p.size):
-        lines.append(" ".join("1" if p.le(i, j) else "0"
-                              for j in range(p.size)))
-    return "\n".join(lines) + "\n"
-
-
-def parse_poset(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty poset fixture")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError(f"bad size line {lines[0]!r}") from None
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} matrix rows, got {len(lines) - 1}")
-    leq = []
-    for ln in lines[1:]:
-        tokens = ln.split()
-        if len(tokens) == 1 and len(tokens[0]) == n:
-            tokens = list(tokens[0])
-        if len(tokens) != n or any(t not in ("0", "1") for t in tokens):
-            raise ValueError(f"bad matrix row {ln!r}")
-        leq.append([int(t) for t in tokens])
-    return FinitePoset(leq)

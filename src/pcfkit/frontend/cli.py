@@ -9,20 +9,50 @@ Exit codes, uniform across subcommands:
   3  parse error or unreadable input (missing, or not UTF-8)
   4  internal violation: a cross-check failed, or the run died of
      RecursionError, MemoryError or AssertionError (one line on stderr)
+
+A reader that closes stdout early (``pcf step ... | head -1``) ends the
+run with exit 0 and nothing on stderr: no one reads the rest.
+
+Start-up: each subcommand imports only the layer it runs. ``check`` and
+``compile`` load the frontend and ``syntax``; ``step`` and ``run`` add
+``opsem``; ``denote``, ``adequacy`` and ``sound`` add ``scott`` and
+``lifting`` (and ``opsem``, which the cross-checks run); ``eq`` adds
+``wtypes``. A ``pcf`` process runs one subcommand, so the layers it
+does not run would only cost it their import.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from ..lifting import render
-from ..opsem import WrongType, reduce, run_bounded
-from ..scott import Interpreter, check_adequacy, check_soundness
-from ..syntax import TypeMismatch, term_to_sexp, type_surface
-from ..wtypes import TERM_SPEC, encode_term, w_equal
+from ..syntax import TypeMismatch, WrongType, term_to_sexp, type_surface
 from .elaborate import elaborate
 from .surface import ParseError, parse
+
+
+def _on_call(module, name):
+    """``module.name``, with the module imported at the first call.
+
+    The subcommands call every layer function through such a name of
+    this module, so a process imports only the layers its subcommand
+    runs, and a wrapper put on a name here (pcfbench's tracer puts
+    one) still sees each call.
+    """
+    def call(*args):
+        return getattr(__import__(module, fromlist=[name]), name)(*args)
+    return call
+
+
+reduce = _on_call("pcfkit.opsem", "reduce")
+run_bounded = _on_call("pcfkit.opsem", "run_bounded")
+denote_base = _on_call("pcfkit.scott", "denote_base")
+check_adequacy = _on_call("pcfkit.scott", "check_adequacy")
+check_soundness = _on_call("pcfkit.scott", "check_soundness")
+render = _on_call("pcfkit.lifting", "render")
+encode_term = _on_call("pcfkit.wtypes", "encode_term")
+w_equal = _on_call("pcfkit.wtypes", "w_equal")
 
 
 def _budget(text):
@@ -79,7 +109,7 @@ def _dispatch(args):
         print(final.numeral)
         return 0
     if args.cmd == "denote":
-        v = Interpreter().denote_base(_load(args.file), args.fuel)
+        v = denote_base(_load(args.file), args.fuel)
         print(render(v))
         return 0 if v.defined else 1
     if args.cmd == "adequacy":
@@ -89,6 +119,7 @@ def _dispatch(args):
         return _report(check_soundness(_load(args.file),
                                        args.max_steps, args.fuel))
     if args.cmd == "eq":
+        from ..wtypes import TERM_SPEC
         t1, t2 = _load(args.file), _load(args.file2)
         if t1.ty is t2.ty and w_equal(TERM_SPEC,
                                       encode_term(t1), encode_term(t2)):
@@ -134,7 +165,14 @@ def main(argv=None):
 
     args = top.parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at the null device, so that
+        # the flush at exit has nowhere to fail, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 
-from ..syntax import PcfType, Iota, Arrow
+from ..syntax import Arrow, Iota, Record
 
 __all__ = [
     "Var", "Lam", "App", "NumLit", "Prim",
@@ -53,32 +52,26 @@ class UnboundVariable(ParseError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Lam:
-    name: str
-    annot: PcfType
-    body: object
+class Lam(Record):
+    """``\\name:annot. body``; annot is a ``PcfType``."""
+
+    __slots__ = ("name", "annot", "body")
 
 
-@dataclass(frozen=True)
-class App:
-    fun: object
-    arg: object
+class App(Record):
+    __slots__ = ("fun", "arg")
 
 
-@dataclass(frozen=True)
-class NumLit:
-    n: int
+class NumLit(Record):
+    __slots__ = ("n",)
 
 
-@dataclass(frozen=True)
-class Prim:
-    tag: str
+class Prim(Record):
+    __slots__ = ("tag",)
 
 
 ZeroS = Prim("zero")

@@ -34,11 +34,11 @@ serves ``step``, ``reduce`` and ``run_bounded`` alike, and
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from . import syntax
 from .rules import CONGRUENCE_RULES, RuleName
-from .syntax import App, Iota, Term
+from .syntax import App, Iota, Term, WrongType
 
 __all__ = [
     "Step", "WrongType", "step", "successors", "reduce", "run_bounded",
@@ -46,14 +46,8 @@ __all__ = [
 ]
 
 
-class Step(NamedTuple):
-    next: Term
-    rule: RuleName
-
-
-class WrongType(TypeError):
-    """An operation that needs a base-type term got something else."""
-
+# one step: the reduct ``next`` and the ``rule`` that produced it
+Step = namedtuple("Step", "next rule")
 
 _AL = RuleName.AppLeft
 _FIX = RuleName.FixRule
@@ -81,7 +75,7 @@ def _contract(t, r):
     raise AssertionError(r)
 
 
-def step(t: Term) -> Optional[Step]:
+def step(t: Term) -> Step | None:
     """The unique one-step reduct of t, or None when no rule applies."""
     r = t.rule
     if r is None:

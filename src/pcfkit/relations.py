@@ -9,13 +9,13 @@ bfs_closure_oracle the independent brute force the tests compare against.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Protocol
+
+from .syntax import Record
 
 __all__ = [
     "StepFunction", "FiniteRelation", "decide_k_step",
     "decide_reaches_within", "bfs_closure_oracle",
-    "parse_relation", "format_relation",
 ]
 
 
@@ -54,14 +54,13 @@ def decide_reaches_within(r: StepFunction, x, y, k: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class FiniteRelation:
+class FiniteRelation(Record):
     """A finite graph fixture: nodes 0..node_count-1 plus an edge list."""
 
-    node_count: int
-    edges: tuple
+    __slots__ = ("node_count", "edges")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         for s, d in self.edges:
             if not (0 <= s < self.node_count and 0 <= d < self.node_count):
                 raise ValueError(f"edge ({s},{d}) out of range")
@@ -105,21 +104,3 @@ def bfs_closure_oracle(g: FiniteRelation, source: int):
                 queue.append(y)
     return {(node, d) for node, d in dist.items()}
 
-
-def parse_relation(text: str) -> FiniteRelation:
-    """Fixture format: first line node_count, then one 'src dst' per line."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty relation fixture")
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        s, d = ln.split()
-        edges.append((int(s), int(d)))
-    return FiniteRelation(n, tuple(edges))
-
-
-def format_relation(g: FiniteRelation) -> str:
-    lines = [str(g.node_count)]
-    lines += [f"{s} {d}" for s, d in g.edges]
-    return "\n".join(lines) + "\n"

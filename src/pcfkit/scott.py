@@ -13,11 +13,11 @@ change one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lifting import BOT, kleisli, fmap, render, unit
-from .opsem import WrongType, reaches_numeral, reduce
-from .syntax import Iota, fold, type_of, term_to_sexp, weak_pool
+from .opsem import reaches_numeral, reduce
+from .syntax import (
+    Iota, Record, WrongType, fold, type_of, term_to_sexp, weak_pool,
+)
 
 __all__ = [
     "Func", "Interpreter", "Verdict",
@@ -175,13 +175,13 @@ def denote_base(t, fuel):
     return Interpreter().denote_base(t, fuel)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a cross-check: ok, vacuous, inconclusive, or violation."""
+class Verdict(Record):
+    """Outcome of a cross-check: ``status`` is ok, vacuous, inconclusive
+    or violation; ``value`` the committed numeral, if any (default
+    None); ``detail`` what went wrong (default "")."""
 
-    status: str
-    value: int | None = None
-    detail: str = ""
+    __slots__ = ("status", "value", "detail")
+    _defaults = (None, "")
 
     @property
     def passed(self):

@@ -11,11 +11,9 @@ finitely many head checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
-    App, Arrow, Fix, Ifz, Iota, K, PcfType, Pred, S, Succ, Zero, fold,
-    type_of,
+    App, Arrow, Fix, Ifz, Iota, K, PcfType, Pred, Record, S, Succ, Zero,
+    fold, type_of,
 )
 
 __all__ = [
@@ -34,19 +32,13 @@ class InvalidTree(Exception):
     """A tree that does not fit its spec (head, arity, or child index)."""
 
 
-@dataclass(frozen=True)
-class WSpec:
-    index_eq: object
-    head_eq: object
-    arity: object
-    target: object
-    source: object
+class WSpec(Record):
+    __slots__ = ("index_eq", "head_eq", "arity", "target", "source")
 
 
-@dataclass(frozen=True)
-class WTree:
-    head: object
-    children: tuple = ()
+class WTree(Record):
+    __slots__ = ("head", "children")
+    _defaults = ((),)
 
 
 def w_equal(spec, u, v):

@@ -7,8 +7,8 @@ import pytest
 
 from pcfkit.domain import (
     FiniteDcpoBot, FinitePoset, MonotoneMap, TooLarge, chain, check_directed,
-    diamond, exponential, flat, format_poset, least_fixed_point, lub,
-    monotone_tables, parse_poset, preserves_directed_lubs, random_dcpo,
+    diamond, exponential, flat, least_fixed_point, lub, monotone_tables,
+    preserves_directed_lubs, random_dcpo,
 )
 
 ANTICHAIN2 = FinitePoset([[1, 0], [0, 1]])
@@ -217,19 +217,3 @@ class TestCorpusGenerator:
             for x in range(d.size):
                 assert d.le(d.bottom, x)
 
-
-class TestFixtureFormat:
-    def test_round_trip(self):
-        for d in (chain(3), diamond(), flat(2)):
-            assert parse_poset(format_poset(d.poset)) == d.poset
-
-    def test_rendering(self):
-        assert format_poset(chain(2).poset) == "2\n1 1\n0 1\n"
-
-    def test_compact_rows_accepted(self):
-        assert parse_poset("2\n11\n01\n") == chain(2).poset
-
-    def test_rejects_garbage(self):
-        for text in ("", "x", "2\n1 1\n", "2\n1 2\n0 1\n", "1\n1 1\n"):
-            with pytest.raises(ValueError):
-                parse_poset(text)

@@ -28,15 +28,40 @@ from pcfkit.syntax import (
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
-def run_module(*args):
-    """``python -m pcfkit.frontend.cli`` in a child process that imports
-    the same pcfkit as this one, however this one found it."""
+def child_env():
+    """The environment of a child process that imports the same pcfkit
+    as this one, however this one found it."""
     paths = [str(Path(pcfkit.__file__).resolve().parent.parent),
              os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def run_module(*args):
+    """``python -m pcfkit.frontend.cli`` in a child process."""
     return subprocess.run(
         [sys.executable, "-m", "pcfkit.frontend.cli", *args],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
+
+
+# Runs cli.main on its arguments, then prints as its last line the exit
+# code and the loaded pcfkit modules and heavy standard modules.
+FOOTPRINT_PROBE = """
+import sys
+from pcfkit.frontend import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("pcfkit")
+                    or m in ("dataclasses", "inspect", "typing")))
+"""
+
+# the modules every subcommand loads: the frontend, syntax and rules
+FRONTEND = {"pcfkit", "pcfkit.frontend", "pcfkit.frontend.cli",
+            "pcfkit.frontend.elaborate", "pcfkit.frontend.surface",
+            "pcfkit.syntax", "pcfkit.rules"}
+# and the layers each subcommand adds to them
+LAYERS = {"check": (), "compile": (), "step": ("opsem",), "run": ("opsem",),
+          "denote": ("opsem", "scott", "lifting"),
+          "adequacy": ("opsem", "scott", "lifting"),
+          "sound": ("opsem", "scott", "lifting"), "eq": ("wtypes",)}
 
 
 ADD_SRC = """
@@ -122,6 +147,38 @@ class TestParse:
             nested = Lam("x", nested.annot.domain, nested.body)
         assert (spine, arrows) == (ZeroS, Iota)
         assert nested == Lam("x", Iota, Var("x"))
+
+
+class TestRecords:
+    """The surface nodes are immutable records: equal by type and fields."""
+
+    def test_equality_and_hash(self):
+        assert Var("x") != sf.Prim("x")
+        assert NumLit(3) != (3,)
+        assert App(Var("f"), NumLit(1)) == App(fun=Var("f"), arg=NumLit(1))
+        lam = Lam("x", Arrow(Iota, Iota), Var("x"))
+        assert hash(lam) == hash(Lam("x", Arrow(Iota, Iota), Var("x")))
+        assert lam != Lam("x", Iota, Var("x"))
+
+    def test_fields_refuse_assignment(self):
+        v = Var("x")
+        for change in (lambda: setattr(v, "name", "y"),
+                       lambda: setattr(v, "other", 1),
+                       lambda: delattr(v, "name")):
+            with pytest.raises(AttributeError):
+                change()
+        assert v == Var("x")
+
+    def test_repr(self):
+        assert repr(Var("x")) == "Var(name='x')"
+        assert (repr(App(PredS, NumLit(2)))
+                == "App(fun=Prim(tag='pred'), arg=NumLit(n=2))")
+
+    def test_wrong_fields_are_refused(self):
+        for make in (lambda: Var(), lambda: Var("x", "y"),
+                     lambda: Var("x", name="y"), lambda: Var(nom="x")):
+            with pytest.raises(TypeError):
+                make()
 
 
 class TestElaborate:
@@ -567,6 +624,30 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "is negative" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sub", list(LAYERS))
+    def test_subcommand_loads_only_its_layer(self, sub):
+        # -S keeps site, and the modules it imports, out of the count
+        add = str(SAMPLES / "add.pcf")
+        argv = [sub, add] + ([add] if sub == "eq" else [])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", FOOTPRINT_PROBE, *argv],
+            capture_output=True, text=True, env=child_env())
+        code, *loaded = proc.stdout.splitlines()[-1].split()
+        assert (proc.returncode, code, proc.stderr) == (0, "0", "")
+        assert set(loaded) == FRONTEND | {f"pcfkit.{m}" for m in LAYERS[sub]}
+
+    def test_closed_stdout_ends_quietly(self):
+        # the trace runs to 1.8 MB, far past what the pipe buffers
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pcfkit.frontend.cli", "step",
+             str(SAMPLES / "add.pcf"), "--max", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        assert proc.stdout.readline().startswith("app-left ⇝ ".encode())
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b"")
 
     def test_module_entry_point(self):
         proc = run_module("run", str(SAMPLES / "add.pcf"))

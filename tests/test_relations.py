@@ -6,8 +6,7 @@ import pytest
 
 from pcfkit.opsem import StepRelation
 from pcfkit.relations import (
-    FiniteRelation, bfs_closure_oracle, decide_k_step,
-    decide_reaches_within, format_relation, parse_relation,
+    FiniteRelation, bfs_closure_oracle, decide_k_step, decide_reaches_within,
 )
 from pcfkit.syntax import App, Pred, Zero
 
@@ -115,9 +114,6 @@ def test_single_valued_flag():
 def test_edge_bounds_checked():
     with pytest.raises(ValueError):
         FiniteRelation(2, ((0, 5),))
-
-
-def test_fixture_round_trip():
-    text = format_relation(CHAIN)
-    assert text == "3\n0 1\n1 2\n"
-    assert parse_relation(text) == CHAIN
+    with pytest.raises(ValueError):
+        FiniteRelation(node_count=2, edges=((-1, 0),))
+    assert FiniteRelation(edges=((0, 1), (1, 2)), node_count=3) == CHAIN

@@ -8,7 +8,7 @@ from conftest import collector_off
 from pcfkit.lifting import BOT, unit
 from pcfkit.opsem import WrongType
 from pcfkit.scott import (
-    Func, Interpreter, bottom_value, check_adequacy,
+    Func, Interpreter, Verdict, bottom_value, check_adequacy,
     check_semidecidability, check_soundness, denote, denote_base,
 )
 from pcfkit.syntax import (
@@ -228,3 +228,18 @@ class TestSemidecidability:
         for _ in range(150):
             t = random_term(rng, Iota, depth=6)
             assert check_semidecidability(t, 16, 2000).passed
+
+
+def test_verdicts_are_records():
+    v = Verdict("inconclusive", detail="d")
+    assert (v.status, v.value, v.detail, v.passed) == (
+        "inconclusive", None, "d", True)
+    planted = Verdict("violation", 0, "planted")
+    assert (planted.value, planted.detail, planted.passed) == (
+        0, "planted", False)
+    assert Verdict("ok", 3) == Verdict(status="ok", value=3, detail="")
+    assert hash(Verdict("ok", 3)) == hash(Verdict("ok", 3))
+    assert Verdict("ok", 3) != Verdict("ok", 4)
+    assert repr(Verdict("ok", 3)) == "Verdict(status='ok', value=3, detail='')"
+    with pytest.raises(AttributeError):
+        v.status = "ok"

@@ -54,6 +54,18 @@ def test_w_equal_deeper_than_the_recursion_limit():
             assert not w_equal(TERM_SPEC, deep, encode_term(numeral(n - 1)))
 
 
+def test_trees_are_records():
+    h = ("zero",)
+    assert WTree(h).children == ()
+    assert WTree(h) == WTree(head=h, children=()) != (h, ())
+    iota = WTree("iota")
+    assert hash(WTree("arr", (iota, iota))) == hash(
+        encode_type(Arrow(Iota, Iota)))
+    with pytest.raises(AttributeError):
+        iota.head = "arr"
+    assert repr(iota) == "WTree(head='iota', children=())"
+
+
 def test_type_encoding_frozen_shapes():
     assert encode_type(Iota) == WTree("iota")
     assert encode_type(Arrow(Iota, Iota)) == WTree(
