@@ -52,26 +52,26 @@ class UnboundVariable(ParseError):
         self.name = name
 
 
-class Var(Record):
-    __slots__ = ("name",)
+class Var(namedtuple("Var", "name"), Record):
+    __slots__ = ()
 
 
-class Lam(Record):
+class Lam(namedtuple("Lam", "name annot body"), Record):
     """``\\name:annot. body``; annot is a ``PcfType``."""
 
-    __slots__ = ("name", "annot", "body")
+    __slots__ = ()
 
 
-class App(Record):
-    __slots__ = ("fun", "arg")
+class App(namedtuple("App", "fun arg"), Record):
+    __slots__ = ()
 
 
-class NumLit(Record):
-    __slots__ = ("n",)
+class NumLit(namedtuple("NumLit", "n"), Record):
+    __slots__ = ()
 
 
-class Prim(Record):
-    __slots__ = ("tag",)
+class Prim(namedtuple("Prim", "tag"), Record):
+    __slots__ = ()
 
 
 ZeroS = Prim("zero")

@@ -8,23 +8,17 @@ bfs_closure_oracle the independent brute force the tests compare against.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Protocol
+from collections import deque, namedtuple
 
 from .syntax import Record
 
 __all__ = [
-    "StepFunction", "FiniteRelation", "decide_k_step",
+    "FiniteRelation", "decide_k_step",
     "decide_reaches_within", "bfs_closure_oracle",
 ]
 
 
-class StepFunction(Protocol):
-    def next(self, x): ...
-    def eq(self, x, y) -> bool: ...
-
-
-def decide_k_step(r: StepFunction, x, y, k: int) -> bool:
+def decide_k_step(r, x, y, k: int) -> bool:
     """Whether y is related to x by the k-step closure.
 
     Follows the recursion that justifies decidability: at k = 0 the
@@ -38,7 +32,7 @@ def decide_k_step(r: StepFunction, x, y, k: int) -> bool:
     return r.eq(x, y)
 
 
-def decide_reaches_within(r: StepFunction, x, y, k: int) -> bool:
+def decide_reaches_within(r, x, y, k: int) -> bool:
     """Whether some j <= k has y reachable from x in j steps.
 
     The bounded form of the search that realizes membership in the full
@@ -54,16 +48,18 @@ def decide_reaches_within(r: StepFunction, x, y, k: int) -> bool:
     return False
 
 
-class FiniteRelation(Record):
-    """A finite graph fixture: nodes 0..node_count-1 plus an edge list."""
+class FiniteRelation(namedtuple("FiniteRelation", "node_count edges"),
+                     Record):
+    """A finite graph fixture: nodes 0..node_count-1 plus an edge list,
+    each edge in range (``_make`` and ``_replace`` skip that check)."""
 
-    __slots__ = ("node_count", "edges")
+    __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        for s, d in self.edges:
-            if not (0 <= s < self.node_count and 0 <= d < self.node_count):
+    def __new__(cls, node_count, edges):
+        for s, d in edges:
+            if not (0 <= s < node_count and 0 <= d < node_count):
                 raise ValueError(f"edge ({s},{d}) out of range")
+        return super().__new__(cls, node_count, edges)
 
     @property
     def single_valued(self) -> bool:

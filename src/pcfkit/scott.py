@@ -13,6 +13,8 @@ change one.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .lifting import BOT, kleisli, fmap, render, unit
 from .opsem import reaches_numeral, reduce
 from .syntax import (
@@ -72,10 +74,15 @@ _pool = Func._pool
 
 
 def bottom_value(sigma):
-    """Least element of the type's domain: bot, constantly extended."""
-    if sigma is Iota:
-        return BOT
-    return Func("k", (bottom_value(sigma.codomain),))
+    """Least element of the type's domain: bot, constantly extended,
+    with one k layer per arrow down the codomain chain (no recursion)."""
+    arrows = 0
+    while sigma is not Iota:
+        arrows, sigma = arrows + 1, sigma.codomain
+    v = BOT
+    for _ in range(arrows):
+        v = Func("k", (v,))
+    return v
 
 
 def _apply(f, a):
@@ -175,13 +182,13 @@ def denote_base(t, fuel):
     return Interpreter().denote_base(t, fuel)
 
 
-class Verdict(Record):
+class Verdict(namedtuple("Verdict", "status value detail",
+                          defaults=(None, "")), Record):
     """Outcome of a cross-check: ``status`` is ok, vacuous, inconclusive
     or violation; ``value`` the committed numeral, if any (default
     None); ``detail`` what went wrong (default "")."""
 
-    __slots__ = ("status", "value", "detail")
-    _defaults = (None, "")
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -22,7 +22,6 @@ non-identical copies, and ``is`` stops meaning equal.
 from __future__ import annotations
 
 import weakref
-from operator import attrgetter
 
 from .rules import RuleName
 
@@ -91,69 +90,24 @@ class WrongType(TypeError):
     """An operation that needs a base-type term got something else."""
 
 
-class Record:
-    """An immutable record with named fields.
+class Record(tuple):
+    """Type-exact equality for immutable records.
 
-    A subclass lists its fields, in order, as ``__slots__``, and the
-    defaults of its last fields as ``_defaults``. Fields are given by
-    position or keyword. Records are equal when they have the same type
-    and equal fields, hash by their fields, refuse assignment and print
-    as ``Name(field=value, ...)``. Defining one compiles no code, which
-    keeps start-up cheap.
+    A record class derives from a ``collections.namedtuple`` and from
+    Record, with ``__slots__ = ()``. Two records are equal when they
+    have the same type and equal fields, so a record never equals a
+    plain tuple or a record of another type; records hash by fields.
     """
 
     __slots__ = ()
-    _defaults = ()
-
-    def __init_subclass__(cls):
-        super().__init_subclass__()
-        # once per class: each slot's setter, which bypasses the
-        # __setattr__ below, and one getter of every field (an
-        # attrgetter binds to no instance: call it on the record)
-        cls._setters = tuple(cls.__dict__[name].__set__
-                             for name in cls.__slots__)
-        cls._values = attrgetter(*cls.__slots__)
-
-    def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        if len(args) != len(names) or kwargs:
-            if len(args) > len(names):
-                raise TypeError(f"{type(self).__name__} takes {len(names)}"
-                                f" fields, got {len(args)}")
-            first_default = len(names) - len(self._defaults)
-            args = list(args)
-            for i in range(len(args), len(names)):
-                if names[i] in kwargs:
-                    args.append(kwargs.pop(names[i]))
-                elif i >= first_default:
-                    args.append(self._defaults[i - first_default])
-                else:
-                    raise TypeError(f"{type(self).__name__} is missing"
-                                    f" field {names[i]!r}")
-            if kwargs:
-                raise TypeError(f"{type(self).__name__} got an unexpected"
-                                f" or repeated field {next(iter(kwargs))!r}")
-        for set_field, value in zip(self._setters, args):
-            set_field(self, value)
 
     def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values(self) == other._values(other)
+        return type(other) is type(self) and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self._values(self))
+    def __ne__(self, other):
+        return type(other) is not type(self) or tuple.__ne__(self, other)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+    __hash__ = tuple.__hash__
 
 
 class _PoolRef(weakref.ref):

@@ -11,6 +11,8 @@ finitely many head checks.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .syntax import (
     App, Arrow, Fix, Ifz, Iota, K, PcfType, Pred, Record, S, Succ, Zero,
     fold, type_of,
@@ -32,13 +34,13 @@ class InvalidTree(Exception):
     """A tree that does not fit its spec (head, arity, or child index)."""
 
 
-class WSpec(Record):
-    __slots__ = ("index_eq", "head_eq", "arity", "target", "source")
+class WSpec(namedtuple("WSpec", "index_eq head_eq arity target source"),
+            Record):
+    __slots__ = ()
 
 
-class WTree(Record):
-    __slots__ = ("head", "children")
-    _defaults = ((),)
+class WTree(namedtuple("WTree", "head children", defaults=((),)), Record):
+    __slots__ = ()
 
 
 def w_equal(spec, u, v):
@@ -163,7 +165,7 @@ def _term_arity(head):
 
 
 def _term_target(head):
-    if not isinstance(head, tuple) or not head:
+    if type(head) is not tuple or not head:
         raise InvalidTree(f"term heads are tuples, got {head!r}")
     if head[0] == "app":
         if len(head) != 3 or not all(isinstance(p, PcfType) for p in head[1:]):
@@ -212,7 +214,7 @@ def decode_term(w):
         if not isinstance(node, WTree):
             raise InvalidTree("not a WTree")
         head = node.head
-        if not isinstance(head, tuple) or not head:
+        if type(head) is not tuple or not head:
             raise InvalidTree(f"term heads are tuples, got {head!r}")
         if head[0] == "app":
             if len(head) != 3 or len(node.children) != 2:

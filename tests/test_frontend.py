@@ -180,6 +180,17 @@ class TestRecords:
             with pytest.raises(TypeError):
                 make()
 
+    def test_records_are_not_plain_tuples(self):
+        # records are tuples underneath, yet equal neither the tuple of
+        # their fields, from either side, nor a same-shaped record
+        for rec, fields in ((NumLit(3), (3,)), (Var("x"), ("x",)),
+                            (App(Var("f"), NumLit(1)), (Var("f"), NumLit(1))),
+                            (App(Var("f"), NumLit(1)), App(("f",), (1,)))):
+            assert rec != fields and fields != rec
+            assert not (rec == fields or fields == rec)
+        assert Var("x") != sf.Prim("x") and not sf.Prim("x") == Var("x")
+        assert {(3,): "tuple"}.get(NumLit(3)) is None
+
 
 class TestElaborate:
     def test_identity_is_skk(self):
@@ -563,6 +574,19 @@ class TestCli:
         argv = [sub, str(deep)] + ([str(other)] if sub == "eq" else [])
         proc = run_module(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+    @pytest.mark.parametrize("sub, code, out", [
+        ("run", 1, "no-numeral"), ("denote", 1, "bot"),
+        ("adequacy", 0, "vacuous"), ("sound", 0, "vacuous")])
+    def test_deep_arrow_type(self, sub, code, out, tmp_path):
+        # fix at a type of 1,200 arrows, applied until it is a nat:
+        # its bottom value is 1,200 k layers deep
+        deep = tmp_path / "arrows.pcf"
+        deep.write_text("fix (\\f:" + "nat -> " * 1200 + "nat. f)"
+                        + " #0" * 1200 + "\n")
+        proc = run_module(sub, str(deep))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out + "\n", "")
 
     @pytest.mark.parametrize("src, flags, codes, typed", [
         ("#5000", {}, "00000000", "nat"),

@@ -2,6 +2,7 @@
 traces."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,7 @@ from pcfkit.opsem import (
     Step, StepRelation, WrongType, _run_pure, reaches_numeral, reduce,
     run_bounded, step, successors,
 )
-from pcfkit.rules import RuleName
+from pcfkit.rules import CONGRUENCE_RULES, RuleName
 from pcfkit.syntax import (
     App, Arrow, Fix, Ifz, Iota, K, Pred, S, Succ, Term, Zero, numeral,
     random_term, random_type, type_of,
@@ -19,6 +20,7 @@ from pcfkit.syntax import (
 
 NN = Arrow(Iota, Iota)
 FIX_SUCC = App(Fix(Iota), Succ)
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 # Addition and multiplication by recursion on the second argument, as in
 # the benchmark; call-by-name makes mul n n blow up in n.
@@ -110,6 +112,38 @@ def test_successors_agree_with_step_fuzz():
             assert succs == []
         else:
             assert succs == [s.next]
+
+
+def rules_on_path(t):
+    """The congruence rules from t's root down to its redex, then the
+    rule that contracts the redex."""
+    rules = [t.rule]
+    while rules[-1] in CONGRUENCE_RULES:
+        t = t.fun if rules[-1] is RuleName.AppLeft else t.arg
+        rules.append(t.rule)
+    return rules
+
+
+def test_successors_agree_with_step_on_every_schema():
+    add = elaborate(parse((SAMPLES / "add.pcf").read_text()))
+    final, trace, exhausted = reduce(add, 10000)
+    assert final is numeral(3) and not exhausted
+    s_nat = S(Iota, Iota, Iota)
+    two = App(App(Ifz, numeral(7)), numeral(8))
+    redexes = [
+        App(Pred, Zero), App(two, numeral(2)),
+        App(App(App(s_nat, App(K(NN, Iota), Succ)), Succ), Zero),
+        App(Succ, App(Pred, numeral(1))), App(Pred, App(Pred, Zero)),
+        App(two, App(Pred, Zero)),
+        App(App(App(K(NN, Iota), Succ), Zero), Zero),
+    ]
+    seen = set()
+    for u in [add] + [u for u, _ in trace] + redexes:
+        s = step(u)
+        assert successors(u) == ([] if s is None else [s.next])
+        if s is not None:
+            seen.update(rules_on_path(u))
+    assert seen == set(RuleName)
 
 
 def test_subject_reduction_fuzz():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import collector_off
+from conftest import collector_off, shallow_stack
 from pcfkit.lifting import BOT, unit
 from pcfkit.opsem import WrongType
 from pcfkit.scott import (
@@ -66,6 +66,18 @@ def test_bottom_value_shapes():
     assert f.apply(unit(3)) == BOT
     hi = bottom_value(Arrow(Arrow(Iota, Iota), Iota))
     assert hi.apply(f) == BOT
+
+
+def test_bottom_value_of_a_deep_arrow_type():
+    ty = Iota
+    for _ in range(2000):
+        ty = Arrow(Iota, ty)
+    with shallow_stack():
+        v = bottom_value(ty)
+    for _ in range(2000):
+        assert (v.tag, len(v.args)) == ("k", 1)
+        v = v.args[0]
+    assert v == BOT
 
 
 def test_arrow_values_are_interned():

@@ -41,6 +41,16 @@ def test_type_of_rejects_domain_mismatch():
     assert e.value.actual is NN
 
 
+def test_type_of_reports_the_innermost_offender():
+    inner = App(Zero, Zero)
+    # the offender on the argument side, then on the function side
+    for bad in (App(Succ, inner), App(App(App(inner, Zero), Zero), Zero)):
+        with pytest.raises(TypeMismatch) as e:
+            type_of(bad)
+        assert e.value.subterm is inner
+        assert e.value.actual is Iota
+
+
 def test_combinator_types():
     sigma, tau, rho = Iota, NN, Arrow(NN, Iota)
     assert type_of(K(sigma, tau)) is Arrow(sigma, Arrow(tau, sigma))

@@ -162,3 +162,14 @@ def test_decode_rejects_malformed_trees():
         decode_type(WTree("arr", (WTree("iota"),)))
     with pytest.raises(InvalidTree):
         decode_type(WTree("nat"))
+
+
+def test_a_tree_is_no_head():
+    # a WTree is a tuple, but only plain tuples are term heads, even one
+    # whose fields read as a head
+    for head in (WTree("fix", Iota), WTree(("zero",)), WTree("zero")):
+        w = WTree(head)
+        with pytest.raises(InvalidTree, match="term heads are tuples"):
+            decode_term(w)
+        with pytest.raises(InvalidTree, match="term heads are tuples"):
+            validate(TERM_SPEC, w)
