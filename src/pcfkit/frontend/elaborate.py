@@ -48,44 +48,57 @@ def _app(f, a, ty):
         *(c.free for c in (f, a) if isinstance(c, _Open))))
 
 
-def _lower(e, env):
-    if isinstance(e, sf.Var):
-        if e.name not in env:
-            raise sf.UnboundVariable(e.name)
-        return _Open(None, e.name, env[e.name], frozenset((e.name,)))
-    if isinstance(e, sf.Prim):
-        if e.tag == "fix":
-            raise TypeMismatch(e, "fix applied to an argument of type"
-                               " s -> s", "a bare fix")
-        return _PRIMS[e.tag]
-    if isinstance(e, sf.NumLit):
-        return numeral(e.n)
-    if isinstance(e, sf.App) and e.fun == sf.FixS:
-        a = _lower(e.arg, env)
-        if not (a.ty.is_arrow and a.ty.domain is a.ty.codomain):
-            raise TypeMismatch(e, "an argument of type s -> s for fix",
-                               a.ty)
-        return _app(Fix(a.ty.domain), a, a.ty.domain)
-    if isinstance(e, sf.App):
-        # the parser builds flat spines, so walk one in a loop: the
-        # head first, then each argument from the innermost application
-        spine = []
-        while isinstance(e, sf.App) and e.fun != sf.FixS:
-            spine.append(e)
-            e = e.fun
-        f = _lower(e, env)
-        for node in reversed(spine):
-            if not f.ty.is_arrow:
-                raise TypeMismatch(node, "an arrow type", f.ty)
-            a = _lower(node.arg, env)
+def _lower(e):
+    """Lower a closed surface term with two explicit stacks, so that no
+    nesting of the input nests Python calls.  An item of ``todo`` is a
+    surface term still to lower with its scope, or a node with the name
+    of the check or construction ("fix", "arrow", "apply", "lambda")
+    that waits on the values on top of ``done``."""
+    done, todo = [], [(e, {})]
+    while todo:
+        e, env = todo.pop()
+        if env == "fix":
+            a = done.pop()
+            if not (a.ty.is_arrow and a.ty.domain is a.ty.codomain):
+                raise TypeMismatch(e, "an argument of type s -> s for fix",
+                                   a.ty)
+            done.append(_app(Fix(a.ty.domain), a, a.ty.domain))
+        elif env == "arrow":  # checked before the argument is lowered
+            if not done[-1].ty.is_arrow:
+                raise TypeMismatch(e, "an arrow type", done[-1].ty)
+        elif env == "apply":
+            a = done.pop()
+            f = done.pop()
             if a.ty is not f.ty.domain:
-                raise TypeMismatch(node, f.ty.domain, a.ty)
-            f = _app(f, a, f.ty.codomain)
-        return f
-    if isinstance(e, sf.Lam):
-        body = _lower(e.body, {**env, e.name: e.annot})
-        return _abstract(e.name, e.annot, body)
-    raise TypeError(f"not a surface term: {e!r}")
+                raise TypeMismatch(e, f.ty.domain, a.ty)
+            done.append(_app(f, a, f.ty.codomain))
+        elif env == "lambda":
+            done.append(_abstract(e.name, e.annot, done.pop()))
+        elif isinstance(e, sf.Var):
+            if e.name not in env:
+                raise sf.UnboundVariable(e.name)
+            done.append(_Open(None, e.name, env[e.name], frozenset((e.name,))))
+        elif isinstance(e, sf.Prim):
+            if e.tag == "fix":
+                raise TypeMismatch(e, "fix applied to an argument of type"
+                                   " s -> s", "a bare fix")
+            done.append(_PRIMS[e.tag])
+        elif isinstance(e, sf.NumLit):
+            done.append(numeral(e.n))
+        elif isinstance(e, sf.App) and e.fun == sf.FixS:
+            todo += [(e, "fix"), (e.arg, env)]
+        elif isinstance(e, sf.App):
+            # the parser builds flat spines: the head is lowered first,
+            # then each argument from the innermost application out
+            while isinstance(e, sf.App) and e.fun != sf.FixS:
+                todo += [(e, "apply"), (e.arg, env), (e, "arrow")]
+                e = e.fun
+            todo.append((e, env))
+        elif isinstance(e, sf.Lam):
+            todo += [(e, "lambda"), (e.body, {**env, e.name: e.annot})]
+        else:
+            raise TypeError(f"not a surface term: {e!r}")
+    return done[0]
 
 
 def _identity(sigma):
@@ -94,17 +107,28 @@ def _identity(sigma):
 
 
 def _abstract(x, sigma, v):
-    tau = v.ty
-    if isinstance(v, Term) or x not in v.free:
-        return _app(K(tau, sigma), v, Arrow(sigma, tau))
-    if v.fun is None:  # the variable x itself
-        return _identity(sigma)
-    ta = v.arg.ty
-    s_f_ty = Arrow(Arrow(sigma, ta), Arrow(sigma, tau))
-    return _app(_app(S(sigma, ta, tau), _abstract(x, sigma, v.fun), s_f_ty),
-                _abstract(x, sigma, v.arg), Arrow(sigma, tau))
+    """[x:sigma] v, walking v with an explicit stack: an application
+    with x free below it is visited once before its two halves and once
+    after, when it combines their abstractions with s."""
+    done, todo = [], [(v, False)]
+    while todo:
+        v, halves_done = todo.pop()
+        tau = v.ty
+        if halves_done:
+            a, f = done.pop(), done.pop()
+            ta = v.arg.ty
+            s_f_ty = Arrow(Arrow(sigma, ta), Arrow(sigma, tau))
+            done.append(_app(_app(S(sigma, ta, tau), f, s_f_ty), a,
+                             Arrow(sigma, tau)))
+        elif isinstance(v, Term) or x not in v.free:
+            done.append(_app(K(tau, sigma), v, Arrow(sigma, tau)))
+        elif v.fun is None:  # the variable x itself
+            done.append(_identity(sigma))
+        else:
+            todo += [(v, True), (v.arg, False), (v.fun, False)]
+    return done[0]
 
 
 def elaborate(e):
     """Compile a closed surface term to a well-typed combinatory term."""
-    return _lower(e, {})
+    return _lower(e)

@@ -8,7 +8,8 @@ an explicit stack.  Each occurrence of the fixed-point constant is
 unrolled a fixed number of times (the fuel) from the bottom value of
 its type, so every answer is a finite approximant of the intended
 meaning: raising the fuel can turn `bot` into a definite value, never
-change one.
+change one.  The fuel reaches a term only through its `fix`
+occurrences: every other constant means the same at every fuel.
 """
 
 from __future__ import annotations
@@ -142,36 +143,67 @@ def _apply(f, a):
 
 
 class Interpreter:
-    """Memoizing evaluator.
+    """Memoizing evaluator that denotes each fix-free subterm once.
 
-    One instance shares denotations across calls, keyed on the interned
-    term and the fuel, so walking a reduction trace whose entries share
-    most of their structure costs little more than denoting one of them.
+    The fuel reaches a denotation only through `fix`, so a subterm with
+    no `fix` below it has one value at every fuel.  One fold memo,
+    shared by all calls and all fuels, maps each interned subterm either
+    to that value or, when it contains a `fix`, to its slot in a
+    post-order plan.  A slot holds the operands of an application, each
+    a value or an earlier slot, or (None, the bottom of its type) for a
+    `fix`.  Each fuel keeps the values of a prefix of the plan, and
+    denoting a term at a fuel extends that prefix up to the term's slot,
+    so a new fuel re-runs only the part of the terms above `fix`.  Every
+    slot is computed at most once per fuel.  Extending a prefix also
+    computes the slots that earlier terms planned and did not ask for at
+    that fuel; a fuel ladder or `check_soundness`, which ask for the
+    same terms at each fuel, need every such slot anyway.
     """
 
     def __init__(self):
-        self._memo = {}  # fuel -> {term: value}
+        self._memo = {}  # term -> its value, or its int slot in the plan
+        self._plan = []
+        self._values = {}  # fuel -> values of a prefix of the plan
 
     def denote(self, t, fuel):
         if t.ty is None:
             type_of(t)  # raises with the offending subterm
-        memo = self._memo.get(fuel)
-        if memo is None:
-            memo = self._memo[fuel] = {}
-        return fold(t, lambda c: self._constant(c, fuel),
-                    lambda _x, f, a: _apply(f, a), memo)
+        v = self._memo.get(t, _MISS)
+        if v is _MISS:
+            v = fold(t, self._constant, self._node, self._memo)
+        if type(v) is not int:
+            return v
+        values = self._values.get(fuel)
+        if values is None:
+            values = self._values[fuel] = []
+        for f, a in self._plan[len(values):v + 1]:
+            if f is None:  # a fix, with the bottom of its type
+                values.append(Func("fix", (a, fuel)))
+            else:
+                values.append(_apply(values[f] if type(f) is int else f,
+                                     values[a] if type(a) is int else a))
+        return values[v]
 
     def denote_base(self, t, fuel):
         if t.ty is not Iota:
             raise WrongType(f"denote_base needs a base-type term, got {t.ty}")
         return self.denote(t, fuel)
 
-    def _constant(self, t, fuel):
+    def _slot(self, entry):
+        self._plan.append(entry)
+        return len(self._plan) - 1
+
+    def _constant(self, t):
         if t.tag == "zero":
             return unit(0)
         if t.tag == "fix":
-            return Func("fix", (bottom_value(t.params[0]), fuel))
+            return self._slot((None, bottom_value(t.params[0])))
         return Func(t.tag, ())
+
+    def _node(self, _x, f, a):
+        if type(f) is int or type(a) is int:
+            return self._slot((f, a))
+        return _apply(f, a)
 
 
 def denote(t, fuel):

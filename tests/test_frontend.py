@@ -247,6 +247,18 @@ class TestElaborate:
         with pytest.raises(TypeMismatch):
             elaborate(parse("succ \\x:nat. x"))
 
+    def test_deep_nesting_needs_no_stack(self):
+        args = parse("succ (" * 3000 + "zero" + ")" * 3000)
+        binders = "".join(f"\\x{i}:nat. " for i in range(3000))
+        lambdas = parse(f"({binders}x0)" + " #1" * 3000)
+        abstracted = parse(f"{binders}x0")
+        with shallow_stack():
+            assert elaborate(args) is numeral(3000)
+            assert elaborate(lambdas).ty is Iota
+            assert elaborate(abstracted).ty.domain is Iota
+        final, _ = run_bounded(elaborate(lambdas), 10**6)
+        assert final is numeral(1)
+
     def test_function_type_error_comes_before_the_argument(self):
         # the function part is checked before the argument is lowered,
         # so the bare fix in argument position is never reached
@@ -542,14 +554,28 @@ class TestCli:
         assert (code, out) == (1, "distinct\n")
 
     @pytest.mark.parametrize("sub", ["check", "compile", "run", "denote"])
-    def test_too_deep_input_is_an_internal_error(self, sub, tmp_path):
-        # elaboration recurses once per nested argument and overflows here
+    def test_too_deep_input_is_an_internal_error(self, sub, capsys,
+                                                 monkeypatch):
+        # no input is known to overflow the stack any more, so the
+        # elaborator is made to overflow
+        def overflow(_e):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "elaborate", overflow)
+        code, out, err = self.run_cli(capsys, sub, str(SAMPLES / "add.pcf"))
+        assert (code, out) == (4, "")
+        assert err == ("internal error: RecursionError: maximum recursion"
+                       " depth exceeded\n")
+
+    @pytest.mark.parametrize("src", [
+        "succ (" * 3000 + "zero" + ")" * 3000,
+        "(" + "".join(f"\\x{i}:nat. " for i in range(3000)) + "x0)"
+        + " zero" * 3000,
+    ], ids=["arguments", "lambdas"])
+    def test_deep_nesting_checks(self, src, capsys, tmp_path):
         deep = tmp_path / "deep.pcf"
-        deep.write_text("succ (" * 3000 + "zero" + ")" * 3000 + "\n")
-        proc = run_module(sub, str(deep))
-        assert proc.returncode == 4
-        assert proc.stderr.startswith("internal error: ")
-        assert "Traceback" not in proc.stderr
+        deep.write_text(src + "\n")
+        assert self.run_cli(capsys, "check", str(deep)) == (0, "nat\n", "")
 
     @pytest.mark.parametrize("src", ["zero " * 2000, "succ " * 1500 + "zero"],
                              ids=["zeros", "succs"])

@@ -1,10 +1,13 @@
 """Denotational interpreter: frozen values, laws, and the check harnesses."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import collector_off, shallow_stack
+from pcfkit import scott
+from pcfkit.frontend import elaborate, parse
 from pcfkit.lifting import BOT, unit
 from pcfkit.opsem import WrongType
 from pcfkit.scott import (
@@ -13,8 +16,10 @@ from pcfkit.scott import (
 )
 from pcfkit.syntax import (
     App, Arrow, Fix, Ifz, Iota, K, Pred, S, Succ, TypeMismatch, Zero,
-    numeral, random_term,
+    fold, numeral, random_term,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 FIX_SUCC = App(Fix(Iota), Succ)
 # fix (k 7): one unrolling then a k step; defined from fuel 1 up
@@ -116,6 +121,87 @@ def test_denote_rejects_ill_typed_terms():
 def test_interpreter_memoizes():
     interp = Interpreter()
     assert interp.denote(numeral(3), 0) is interp.denote(numeral(3), 0)
+    # a term with a fix: the same (term, fuel) gives the same object
+    with_fix = App(Succ, CONST7)
+    for fuel in (0, 1, 5):
+        v = interp.denote(with_fix, fuel)
+        assert interp.denote(with_fix, fuel) is v
+    # a term with no fix: one object for every fuel
+    for t in (Zero, App(App(App(Ifz, numeral(2)), Zero), numeral(1))):
+        assert interp.denote(t, 0) is interp.denote(t, 64)
+
+
+def _subterms(t):
+    """Each distinct subterm of t, mapped to whether a fix is below it."""
+    memo = {}
+    fold(t, lambda c: c.tag == "fix", lambda _x, f, a: f or a, memo)
+    return memo
+
+
+def _fuzz_terms(seed, count):
+    rng = random.Random(seed)
+    return [random_term(rng, Iota, depth=6) for _ in range(count)]
+
+
+def test_shared_interpreter_agrees_with_fresh_ones():
+    # one Interpreter per order, answering every (term, fuel) pair in
+    # it; each answer must be what a fresh Interpreter gives
+    terms = _fuzz_terms(83, 40) + _fuzz_terms(84, 40)
+    assert sum(any(_subterms(t).values()) for t in terms) >= 20
+    fuels = (0, 1, 2, 5, 16, 33)
+    pairs = [(t, f) for t in terms for f in fuels]
+    want = {pair: denote_base(*pair) for pair in pairs}
+    interleaved = pairs[:]
+    random.Random(85).shuffle(interleaved)
+    for order in (sorted(pairs, key=lambda p: p[1]),
+                  sorted(pairs, key=lambda p: -p[1]), interleaved):
+        interp = Interpreter()
+        for t, f in order:
+            assert interp.denote_base(t, f) == want[t, f], (t, f)
+
+
+class _CountApply:
+    """Counts the calls of scott._apply, the only place a value of an
+    application is computed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        apply = scott._apply
+
+        def counted(f, a):
+            self.calls += 1
+            return apply(f, a)
+
+        monkeypatch.setattr(scott, "_apply", counted)
+
+
+def test_fix_free_applications_are_applied_once(monkeypatch):
+    counter = _CountApply(monkeypatch)
+    terms = [t for t in _fuzz_terms(86, 60) if not any(_subterms(t).values())]
+    assert len(terms) >= 10
+    for t in terms:
+        apps = sum(x.tag == "app" for x in _subterms(t))
+        counter.calls = 0
+        interp = Interpreter()
+        for fuel in range(65):
+            interp.denote_base(t, fuel)
+        assert counter.calls == apps
+
+
+def test_a_new_fuel_reapplies_only_what_is_above_fix(monkeypatch):
+    counter = _CountApply(monkeypatch)
+    add = elaborate(parse((SAMPLES / "add.pcf").read_text()))
+    terms = [add] + [t for t in _fuzz_terms(87, 200)
+                     if sum(x.tag == "fix" for x in _subterms(t)) == 1]
+    assert len(terms) >= 10
+    for t in terms:
+        above_fix = sum(_subterms(t).values())
+        interp = Interpreter()
+        interp.denote_base(t, 0)
+        for fuel in range(1, 65):
+            counter.calls = 0
+            interp.denote_base(t, fuel)
+            assert counter.calls <= above_fix
 
 
 def test_k_equation_at_base():
