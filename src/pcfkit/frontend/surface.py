@@ -15,12 +15,12 @@ the last argument of an application (`fix \\f:nat. e`).  Arrows
 associate to the right.  `ifz e0 e1 e2` takes the zero branch e0, the
 successor branch e1, and the scrutinee e2 last, mirroring the constant
 it parses to (this is not if-then-else order).  `#n` is one `NumLit`
-node, n in ASCII digits; elaboration turns it into n successor
-applications around zero.  `--` starts a comment running to end of
-line.  Programs must be closed; the parser tracks binders and rejects
-unbound names.  One regular expression lexes the source, and one loop
-with an explicit stack of open parentheses parses it, so parsing has no
-nesting limit.
+node, n in ASCII digits and at most ``MAX_NUMERAL`` (100,000);
+elaboration turns it into n successor applications around zero.  `--`
+starts a comment running to end of line.  Programs must be closed; the
+parser tracks binders and rejects unbound names.  One regular
+expression lexes the source, and one loop with an explicit stack of
+open parentheses parses it, so parsing has no nesting limit.
 """
 
 from __future__ import annotations
@@ -102,6 +102,11 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
+# #n elaborates to n + 1 interned nodes, so a larger literal would fill
+# memory before any step or fuel budget could stop the run.
+MAX_NUMERAL = 100_000
+
+
 def _tokenize(src):
     toks = []
     line, start = 1, 0  # start: index of the current line's first character
@@ -122,6 +127,9 @@ def _tokenize(src):
             except ValueError:  # past sys.get_int_max_str_digits()
                 raise ParseError("numeral literal has too many digits",
                                  line, col) from None
+            if value > MAX_NUMERAL:
+                raise ParseError(f"numeral literal is larger than"
+                                 f" #{MAX_NUMERAL}", line, col)
             toks.append(_Tok("num", value, line, col))
         elif kind is not None:  # "bad", or a word led by a non-letter
             raise ParseError(f"unexpected character {text[0]!r}", line, col)

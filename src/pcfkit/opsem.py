@@ -24,16 +24,30 @@ the step count are exactly those of the memo-free run. ``step`` and
 ``reduce`` run without the memo, and the memo-free ``_run_pure`` stays
 the reference.
 
-Unrolling ``fix f`` where ``f (fix f)`` steps inside its argument (f is
-succ, pred or ifz s t) goes straight back into ``fix f`` under a frame
-for f, so the pure engine interns no ``f (fix f)`` node that would die
-at once; the node is built only when the budget runs out there. This
-serves ``step``, ``reduce`` and ``run_bounded`` alike, and
-``successors`` still derives the unrolled term in full.
+When ``fix f ~> f (fix f)`` gives a term that steps inside its argument
+(f is succ, pred or ifz s t), each later step unrolls the same
+``fix f`` once more, so k steps from ``fix f`` give ``f^k (fix f)`` and
+the budget always runs out there. The engine builds ``f^k (fix f)`` for
+the k steps left in one loop, with no frame per unrolling. This serves
+``step``, ``reduce`` and ``run_bounded`` alike, and ``successors``
+still derives each unrolling on its own.
+
+``run_bounded`` pauses CPython's cyclic garbage collector for the run,
+and leaves it as it found it, also when the run raises. This is safe
+because the engine builds only acyclic data: an interned term points
+only at terms built before it, and the pool keys and weak references,
+the zipper's frame tuples and the memo entries point only at terms.
+Reference counting alone frees all of it, so a collection during the
+run would scan the new objects and find nothing to free. ``step`` and
+``reduce`` leave the collector alone, so that no pause has to last
+across a return to their caller between steps. The collector's switch
+is process-wide, one more reason the engine is single-threaded, as
+interning is.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import namedtuple
 
 from . import syntax
@@ -169,11 +183,12 @@ def _run_pure(t, max_steps, memo=None):
 
     The fix rule takes one shortcut. When ``fix f ~> f (fix f)`` gives
     a term that steps inside its argument (f is succ, pred or ifz s t),
-    the zipper pushes f's frame and enters the same ``fix f`` again,
-    with the usual budget check, instead of interning ``f (fix f)``
-    just to descend out of it. Nothing else holds that node, so it
-    would die and be interned again at the next unrolling. If the
-    budget runs out first, the pop builds it as any frame's parent.
+    every step left unrolls that same ``fix f`` once more, so the
+    budget runs out there, at ``f^k (fix f)`` for the k steps left.
+    The zipper builds that term in one loop and sets the step count to
+    the budget. The frames above it then pop on an exhausted budget and
+    store no memo entry, just as after k single steps. Such a ``fix f``
+    never reaches a normal form, so the memo never holds it.
     """
     cur = t
     frames = []
@@ -206,13 +221,15 @@ def _run_pure(t, max_steps, memo=None):
             r = cur.rule
         else:
             # no memo hit on the way down: r contracts a root redex
-            steps += 1
             if r is _FIX and syntax._app_rule(cur.arg, cur) in _INTO_ARG:
-                # f (fix f) steps inside fix f: re-enter fix f under f's
-                # frame. No memo lookup: such a fix f never reaches a
-                # normal form, so the memo never holds it.
-                frames.append((cur.arg, False, cur, steps))
+                # f (fix f) steps inside fix f, so every step left
+                # unrolls it once more: the budget runs out here
+                f = cur.arg
+                for _ in range(max_steps - steps):
+                    cur = App(f, cur)
+                steps = max_steps
             else:
+                steps += 1
                 cur = _contract(cur, r)
 
 
@@ -230,8 +247,19 @@ def run_bounded(t: Term, max_steps: int):
     root redex has a head in normal form, so a subterm entered through a
     congruence rule reaches its normal form, in steps that do not depend
     on the context, before the zipper leaves it (see _run_pure).
+
+    The cyclic garbage collector is paused for the run: the engine
+    builds no reference cycle, so reference counting frees what the run
+    drops. If the collector was on, it is switched back on when the run
+    returns or raises; if it was off, it stays off.
     """
-    return _run_pure(t, max_steps, {})
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_pure(t, max_steps, {})
+    finally:
+        if paused:
+            gc.enable()
 
 
 def reaches_numeral(t: Term, k: int):

@@ -13,10 +13,13 @@ fields heavily; nothing in this module ever rescans a subtree.
 
 Terms are interned weakly, through ``weak_pool``: a plain dict from a
 term's key to a weak reference that leaves the dict when its term dies,
-so a pool holds only live terms and ``len`` counts them. Interning is
-single-threaded: ``_intern`` looks a key up and then inserts it, so two
-threads building the same term at once can end up with two
-non-identical copies, and ``is`` stops meaning equal.
+so a pool holds only live terms and ``len`` counts them. One pool holds
+every term: ``App`` interns an application itself, in one call, under
+the key ``(fun, arg)``, and ``_intern`` interns a constant under
+``(tag, params)``. A term never equals a tag string, so the two key
+shapes never collide. Interning is single-threaded: it looks a key up
+and then inserts it, so two threads building the same term at once can
+end up with two non-identical copies, and ``is`` stops meaning equal.
 """
 
 from __future__ import annotations
@@ -129,7 +132,8 @@ def weak_pool():
     obj)`` enters obj under key and returns it. When an object dies its
     entry leaves the pool at once, unless a newer entry has replaced it,
     so ``len(pool)`` counts live objects. Keys hold their parts
-    strongly. Single-threaded.
+    strongly: ``Term._pool`` keys an application by ``(fun, arg)`` and
+    a constant by ``(tag, params)``. Single-threaded.
     """
     pool = {}
 
@@ -228,8 +232,9 @@ def _app_rule(f, a):
     return RuleName.AppLeft if f.rule is not None else None
 
 
-def _intern(tag, fun, arg, params):
-    key = (tag, fun, arg, params)
+def _intern(tag, params):
+    """The constant ``tag`` at type parameters ``params``."""
+    key = (tag, params)
     ref = _pool.get(key)
     if ref is not None:
         t = ref()
@@ -237,51 +242,63 @@ def _intern(tag, fun, arg, params):
             return t
     t = object.__new__(Term)
     t.tag = tag
-    t.fun = fun
-    t.arg = arg
+    t.fun = t.arg = None
     t.params = params
-    if tag == "app":
-        fty = fun.ty
-        if fty is not None and fty.domain is not None and arg.ty is fty.domain:
-            t.ty = fty.codomain
-        else:
-            t.ty = None
-        if fun.tag == "succ" and arg.numeral is not None:
-            t.numeral = arg.numeral + 1
-        else:
-            t.numeral = None
-        t.rule = _app_rule(fun, arg)
-    else:
-        t.ty = _constant_type(tag, params)
-        t.numeral = 0 if tag == "zero" else None
-        t.rule = None
+    t.ty = _constant_type(tag, params)
+    t.numeral = 0 if tag == "zero" else None
+    t.rule = None
     return _pool_add(key, t)
 
 
-Zero = _intern("zero", None, None, ())
-Succ = _intern("succ", None, None, ())
-Pred = _intern("pred", None, None, ())
-Ifz = _intern("ifz", None, None, ())
+Zero = _intern("zero", ())
+Succ = _intern("succ", ())
+Pred = _intern("pred", ())
+Ifz = _intern("ifz", ())
 
 
 def K(sigma: PcfType, tau: PcfType) -> Term:
     """The constant k at sigma, tau; type sigma => tau => sigma."""
-    return _intern("k", None, None, (sigma, tau))
+    return _intern("k", (sigma, tau))
 
 
 def S(sigma: PcfType, tau: PcfType, rho: PcfType) -> Term:
     """The constant s; type (sigma=>tau=>rho) => (sigma=>tau) => sigma=>rho."""
-    return _intern("s", None, None, (sigma, tau, rho))
+    return _intern("s", (sigma, tau, rho))
 
 
 def Fix(sigma: PcfType) -> Term:
     """The fixed-point constant at sigma; type (sigma=>sigma) => sigma."""
-    return _intern("fix", None, None, (sigma,))
+    return _intern("fix", (sigma,))
 
 
 def App(fun: Term, arg: Term) -> Term:
-    """Application. Always constructible; type_of reports ill-typed uses."""
-    return _intern("app", fun, arg, ())
+    """Application. Always constructible; type_of reports ill-typed uses.
+
+    Interned here, in one call, under the key ``(fun, arg)``; the
+    constants share the pool under ``(tag, params)`` keys.
+    """
+    key = (fun, arg)
+    ref = _pool.get(key)
+    if ref is not None:
+        t = ref()
+        if t is not None:
+            return t
+    t = object.__new__(Term)
+    t.tag = "app"
+    t.fun = fun
+    t.arg = arg
+    t.params = ()
+    fty = fun.ty
+    if fty is not None and fty.domain is not None and arg.ty is fty.domain:
+        t.ty = fty.codomain
+    else:
+        t.ty = None
+    if fun.tag == "succ" and arg.numeral is not None:
+        t.numeral = arg.numeral + 1
+    else:
+        t.numeral = None
+    t.rule = _app_rule(fun, arg)
+    return _pool_add(key, t)
 
 
 def type_of(t: Term) -> PcfType:

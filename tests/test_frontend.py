@@ -1,5 +1,7 @@
 """Surface parser, bracket-abstraction compiler, and the pcf CLI."""
 
+import contextlib
+import io
 import os
 import random
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 from conftest import shallow_stack
 
 import pcfkit
@@ -663,6 +667,17 @@ class TestCli:
         assert err == ("parse error: numeral literal has too many digits"
                        " at line 1, column 6\n")
 
+    def test_literal_past_the_cap_is_a_parse_error(self, capsys, tmp_path):
+        # #n builds n + 1 nodes, so a literal past the cap would fill
+        # memory before any budget applies
+        assert parse(f"#{sf.MAX_NUMERAL}") == NumLit(sf.MAX_NUMERAL)
+        bad = tmp_path / "bad.pcf"
+        bad.write_text(f"succ #{sf.MAX_NUMERAL + 1}\n")
+        code, out, err = self.run_cli(capsys, "check", str(bad))
+        assert (code, out, err) == (3, "", "parse error: numeral literal is"
+                                           " larger than #100000 at line 1,"
+                                           " column 6\n")
+
     @pytest.mark.parametrize("argv", [
         ["step", "--max", "-1"], ["run", "--max-steps", "-1"],
         ["denote", "--fuel", "-1"], ["adequacy", "--fuel", "-2"],
@@ -703,3 +718,98 @@ class TestCli:
         proc = run_module("run", str(SAMPLES / "add.pcf"))
         assert proc.returncode == 0
         assert proc.stdout == "3\n"
+
+
+# -- the exit-code contract, as a property over generated inputs
+
+# each subcommand's budget flags
+BUDGETS = {"check": (), "compile": (), "step": ("--max",),
+           "run": ("--max-steps",), "denote": ("--fuel",),
+           "adequacy": ("--fuel", "--max-steps"),
+           "sound": ("--fuel", "--max-steps"), "eq": ()}
+TOKENS = ["zero", "succ", "pred", "ifz", "fix", "#0", "#7", "x", "f",
+          "\\x:nat.", "\\f:nat -> nat.", "(", ")", "nat", "->", ":", ".",
+          "\\", "-- note\n", "\n"]
+
+
+@st.composite
+def programs(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    ty = random_type(rng, 2)
+    return _show(_random_surface(rng, {}, ty, draw(st.integers(0, 5))))
+
+
+def _lambdas(n):
+    return ("(" + "".join(f"\\x{i}:nat. " for i in range(n)) + "x0)"
+            + " zero" * n)
+
+
+NESTINGS = [lambda n: "succ (" * n + "zero" + ")" * n,
+            lambda n: "(" * n + "#3" + ")" * n,
+            lambda n: "(" * n + "zero" + ")" * (n - 1),
+            _lambdas]
+SPINES = [lambda n: "zero " * n, lambda n: "succ " * n + "zero",
+          lambda n: "(\\x:nat. x)" + " #0" * n]
+
+SOURCES = st.one_of(
+    programs(),                                            # well-typed
+    # one well-typed program applied to another: mostly ill-typed
+    st.tuples(programs(), programs()).map("({0[0]}) ({0[1]})".format),
+    st.lists(st.sampled_from(TOKENS), max_size=30).map(" ".join),
+    st.builds(lambda make, n: make(n), st.sampled_from(NESTINGS),
+              st.integers(1, 3000)),
+    st.builds(lambda make, n: make(n), st.sampled_from(SPINES),
+              st.integers(1, 3000)),
+    st.text("0123456789", min_size=1, max_size=6000).map("succ #{}".format),
+).map(lambda src: src.encode("utf-8")) | st.binary(max_size=300)
+
+
+@st.composite
+def invocations(draw):
+    sub = draw(st.sampled_from(list(BUDGETS)))
+    files = [draw(SOURCES)] + ([draw(SOURCES)] if sub == "eq" else [])
+    flags = []
+    for flag in BUDGETS[sub]:
+        flags += [flag, str(draw(st.sampled_from([0, 1, -1])))]
+    return sub, files, flags
+
+
+@seed(2019)
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(invocations())
+def test_exit_codes_hold_for_generated_inputs(tmp_path_factory, case):
+    sub, files, flags = case
+    d = tmp_path_factory.mktemp("in")
+    paths = []
+    for i, data in enumerate(files):
+        paths.append(d / f"{i}.pcf")
+        paths[-1].write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([sub, *map(str, paths), *flags])
+        except SystemExit as exc:      # argparse: a usage error
+            code = exc.code
+            usage = True
+        else:
+            usage = False
+    out, err = out.getvalue(), err.getvalue()
+    assert code in range(5) and "Traceback" not in err, (code, err)
+    lines = err.splitlines()
+    if usage:
+        # argparse's usage, then one line with the error
+        assert code == 2 and lines[0].startswith(f"usage: pcf {sub} ")
+        assert lines[-1].startswith(f"pcf {sub}: error: "), err
+    elif code <= 1:
+        assert err == ""
+    elif out.startswith("VIOLATION "):
+        assert code == 4 and err == ""          # a cross-check failed
+    else:
+        assert len(lines) == 1 and err.endswith("\n"), err
+        prefix = {2: ("type error: ",),
+                  3: ("parse error: ", "cannot read input: "),
+                  4: ("internal error: RecursionError: ",     # a resource
+                      "internal error: MemoryError: ")}[code]  # cap
+        assert err.startswith(prefix), err

@@ -1,12 +1,14 @@
 """One-step reduction, the rule oracle, bounded reduction and its memo,
 traces."""
 
+import gc
 import random
 from pathlib import Path
 
 import pytest
 
 from conftest import collector_off
+from pcfkit import opsem
 from pcfkit.frontend import cli, elaborate, parse
 from pcfkit.opsem import (
     Step, StepRelation, WrongType, _run_pure, reaches_numeral, reduce,
@@ -14,7 +16,7 @@ from pcfkit.opsem import (
 )
 from pcfkit.rules import CONGRUENCE_RULES, RuleName
 from pcfkit.syntax import (
-    App, Arrow, Fix, Ifz, Iota, K, Pred, S, Succ, Term, Zero, numeral,
+    App, Arrow, Fix, Ifz, Iota, K, Pred, S, Succ, Term, Zero, fold, numeral,
     random_term, random_type, type_of,
 )
 
@@ -279,6 +281,115 @@ def test_fix_unrolls_the_same_on_every_path(f):
     assert _run_pure(t, 50_000) == (want, 50_000)
 
 
+def fuzz_corpora():
+    """The acceptance suites' corpora (seed 200 at depth 6, seed 201 at
+    depth 5), base-type terms first, then as many of random types; each
+    comes with the generator that drew it, for the draws that follow."""
+    for seed, count, depth in ((200, 1000, 6), (201, 500, 5)):
+        rng = random.Random(seed)
+        terms = [random_term(rng, Iota, depth=depth) for _ in range(count)]
+        terms += [random_term(rng, random_type(rng), depth=depth)
+                  for _ in range(count)]
+        yield rng, terms
+
+
+def oracle_chain(t, n):
+    """t and its first n reducts as successors derives them, fewer if a
+    normal form comes first; this path never enters _run_pure."""
+    chain = [t]
+    while len(chain) <= n:
+        nxt = successors(chain[-1])
+        if not nxt:
+            break
+        chain.append(nxt[0])
+    return chain
+
+
+def contains_fix(t):
+    return fold(t, lambda c: c.tag == "fix", lambda _x, f, a: f or a)
+
+
+def test_fix_unrolls_like_the_oracle_in_context():
+    # fix f ~> f (fix f) steps inside its argument for these f, and the
+    # engine unrolls the rest of the budget in one loop; under a context,
+    # and after the steps a fuzz term takes before it reaches such a
+    # fix, every budget must still give the oracle's reduct
+    two = App(App(Ifz, numeral(2)), App(Pred, numeral(1)))
+    contexts = [
+        lambda x: x, lambda x: App(Succ, x),
+        lambda x: App(Pred, App(Pred, x)), lambda x: App(two, x),
+        lambda x: App(App(K(Iota, Iota), x), Zero),
+        # k □ zero at the head of a longer spine, reached by app-left
+        lambda x: App(App(App(K(NN, Iota), App(K(Iota, Iota), x)), Zero),
+                      Zero),
+    ]
+    terms = [c1(c2(App(Fix(Iota), f)))
+             for f in (Succ, Pred, App(App(Ifz, Zero), numeral(1)))
+             for c1 in contexts for c2 in contexts]
+    rng = random.Random(200)
+    fuzz = (random_term(rng, Iota, depth=6) for _ in range(1000))
+    terms += [t for t in fuzz if contains_fix(t)][:150]
+    for t in terms:
+        chain = oracle_chain(t, 60)
+        for k in range(61):
+            used = min(k, len(chain) - 1)
+            assert _run_pure(t, k) == (chain[used], used), (t, k)
+            assert run_bounded(t, k) == (chain[used], used), (t, k)
+
+
+def test_run_bounded_leaves_the_collector_as_it_found_it(monkeypatch):
+    seen = []
+    run_pure = opsem._run_pure
+
+    def spy(t, max_steps, memo=None):
+        seen.append(gc.isenabled())
+        return run_pure(t, max_steps, memo)
+
+    monkeypatch.setattr(opsem, "_run_pure", spy)
+    assert gc.isenabled()
+    assert run_bounded(FIX_SUCC, 3)[1] == 3
+    assert gc.isenabled() and seen == [False]
+    # step and reduce never pause it
+    seen.clear()
+    step(FIX_SUCC)
+    reduce(FIX_SUCC, 2)
+    assert seen == [True] * 3
+    with collector_off():
+        seen.clear()
+        run_bounded(FIX_SUCC, 3)
+        assert not gc.isenabled() and seen == [False]
+
+    def interrupted(t, max_steps, memo=None):
+        seen.append(gc.isenabled())
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(opsem, "_run_pure", interrupted)
+    seen.clear()
+    with pytest.raises(KeyboardInterrupt):
+        run_bounded(FIX_SUCC, 3)
+    assert gc.isenabled() and seen == [False]
+
+
+def test_the_engine_makes_no_reference_cycle():
+    # run_bounded pauses the cyclic collector on the premise that the
+    # engine builds only acyclic data (terms, pool keys and weak
+    # references, frames, memo entries), which reference counting alone
+    # frees; a cycle would be left for the collector to find
+    bench = [elaborate(parse(f"{ADD_SRC} #{n} #{n}")) for n in (10, 20, 40)]
+    bench += [mul_term(3), FIX_SUCC]
+    tower = numeral(300)
+    for _ in range(300):
+        tower = App(Pred, tower)
+    bench.append(tower)
+    corpora = [t for _, terms in fuzz_corpora() for t in terms]
+    with collector_off():
+        for t in corpora + bench:
+            run_bounded(t, 3000)
+        for t in bench:
+            run_bounded(t, 50_000)
+        assert gc.collect() == 0
+
+
 def test_a_dropped_run_leaves_the_pool():
     with collector_off():
         before = len(Term._pool)
@@ -295,15 +406,9 @@ def assert_memo_exact(t, budget, want):
 
 
 def test_memo_matches_the_reference_on_the_fuzz_corpora():
-    # the acceptance suites' corpora (seed 200 at depth 6, seed 201 at
-    # depth 5), base-type terms first, then as many of random types; the
-    # reference at each budget continues the memo-free run from the
+    # the reference at each budget continues the memo-free run from the
     # previous budget's reduct, because the relation is deterministic
-    for seed, count, depth in ((200, 1000, 6), (201, 500, 5)):
-        rng = random.Random(seed)
-        terms = [random_term(rng, Iota, depth=depth) for _ in range(count)]
-        terms += [random_term(rng, random_type(rng), depth=depth)
-                  for _ in range(count)]
+    for rng, terms in fuzz_corpora():
         for t in terms:
             budgets = sorted({0, 1, 7, 100, 2000, rng.randrange(3000)})
             cur, used, prev = t, 0, 0
