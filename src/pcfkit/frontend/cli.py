@@ -40,8 +40,9 @@ def _on_call(module, name):
     runs, and a wrapper put on a name here (pcfbench's tracer puts
     one) still sees each call.
     """
-    def call(*args):
-        return getattr(__import__(module, fromlist=[name]), name)(*args)
+    def call(*args, **kwargs):
+        return getattr(__import__(module, fromlist=[name]), name)(
+            *args, **kwargs)
     return call
 
 
@@ -102,8 +103,9 @@ def _dispatch(args):
         print("step-budget-exhausted" if exhausted else "normal-form")
         return 0
     if args.cmd == "run":
-        final, _ = run_bounded(_load(args.file), args.max_steps)
-        if final.numeral is None:
+        final, _ = run_bounded(_load(args.file), args.max_steps,
+                               numeral_only=True)
+        if final is None or final.numeral is None:
             print("no-numeral")
             return 1
         print(final.numeral)

@@ -32,6 +32,20 @@ the k steps left in one loop, with no frame per unrolling. This serves
 ``step``, ``reduce`` and ``run_bounded`` alike, and ``successors``
 still derives each unrolling on its own.
 
+A caller that reads only whether a run ends at a numeral
+(``reaches_numeral``, and so the adequacy and semidecidability checks,
+and ``pcf run``) asks ``run_bounded`` for a numeral-only run. Such a
+run also marks each subterm it is still reducing in the memo, and stops
+with ``(None, max_steps)`` when it meets a marked subterm again, or
+when ``fix f`` would unroll for the rest of the budget. A subterm met
+again while it is being reduced is a black hole in Launchbury's sense
+(1993, "A natural semantics for lazy evaluation"): its normal form
+would depend on itself, so the full run would use the whole budget and
+end at a term that still steps. The check is sound but not complete: a
+loop whose terms keep growing, such as
+``(fix \\g:nat -> nat. \\n:nat. g (succ n)) #0``, meets no subterm again
+and runs until its budget is used up.
+
 ``run_bounded`` pauses CPython's cyclic garbage collector for the run,
 and leaves it as it found it, also when the run raises. This is safe
 because the engine builds only acyclic data: an interned term points
@@ -67,6 +81,8 @@ _AL = RuleName.AppLeft
 _FIX = RuleName.FixRule
 # congruence rules that step inside the argument
 _INTO_ARG = CONGRUENCE_RULES - {_AL}
+# the memo value of a subterm the zipper is reducing in a numeral-only run
+_BUSY = object()
 
 
 def _contract(t, r):
@@ -157,7 +173,7 @@ def reduce(t: Term, max_steps: int):
     return cur, trace, cur.rule is not None
 
 
-def _run_pure(t, max_steps, memo=None):
+def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
     """Bounded no-trace reduction; returns (final, steps_used).
 
     Keeps the path to the current redex on a stack. After contracting,
@@ -189,11 +205,32 @@ def _run_pure(t, max_steps, memo=None):
     the budget. The frames above it then pop on an exhausted budget and
     store no memo entry, just as after k single steps. Such a ``fix f``
     never reaches a normal form, so the memo never holds it.
+
+    ``numeral_only`` (with a memo) is for a caller that reads only
+    whether the final term is a numeral. The run marks the start term,
+    and each subterm it enters through a congruence rule, as in progress
+    in the memo; a frame that pops on a normal form replaces the mark
+    with the usual entry. It returns ``(None, max_steps)`` at once when
+    the term it reaches after a contraction, a memo splice or a frame
+    rebuild, or a child it is about to enter, is marked, and when the
+    fix shortcut is about to build ``f^k (fix f)``. This is exact: such
+    a term X was reached from the marked one in at least one step
+    (a proper subterm cannot equal its whole), and by the invariant
+    above the steps X takes to its normal form are at least one more
+    than its own, so X has none and the full run ends with the budget
+    used up, at a term that still steps.
     """
     cur = t
     frames = []
     steps = 0
+    if numeral_only:
+        memo[t] = _BUSY
     while True:
+        # past the start, cur was reached in at least one step from each
+        # subterm marked in progress, so if it is one of them that one
+        # never reaches a normal form
+        if numeral_only and steps and memo.get(cur) is _BUSY:
+            return None, max_steps
         r = cur.rule
         if r is None or steps >= max_steps:
             # rebuild the spine one frame up; done at the root
@@ -211,11 +248,15 @@ def _run_pure(t, max_steps, memo=None):
                 child, other, cur_is_fun = cur.arg, cur.fun, False
             if memo is not None:
                 hit = memo.get(child)
+                if hit is _BUSY:
+                    return None, max_steps
                 if hit is not None and steps + hit[1] <= max_steps:
                     nf, used = hit
                     steps += used
                     cur = App(nf, other) if cur_is_fun else App(other, nf)
                     break
+                if numeral_only:
+                    memo[child] = _BUSY
             frames.append((other, cur_is_fun, child, steps))
             cur = child
             r = cur.rule
@@ -224,6 +265,8 @@ def _run_pure(t, max_steps, memo=None):
             if r is _FIX and syntax._app_rule(cur.arg, cur) in _INTO_ARG:
                 # f (fix f) steps inside fix f, so every step left
                 # unrolls it once more: the budget runs out here
+                if numeral_only:
+                    return None, max_steps
                 f = cur.arg
                 for _ in range(max_steps - steps):
                     cur = App(f, cur)
@@ -238,7 +281,7 @@ def engine_name() -> str:
     return "pure"
 
 
-def run_bounded(t: Term, max_steps: int):
+def run_bounded(t: Term, max_steps: int, *, numeral_only=False):
     """Bounded reduction without the trace; returns (final, steps_used).
 
     Same final term and step count as reduce, much cheaper on long runs:
@@ -248,6 +291,14 @@ def run_bounded(t: Term, max_steps: int):
     congruence rule reaches its normal form, in steps that do not depend
     on the context, before the zipper leaves it (see _run_pure).
 
+    With ``numeral_only``, for a caller that reads only whether the run
+    ends at a numeral, the run may stop early and return
+    ``(None, max_steps)``. It does so only where the full run would use
+    the whole budget and end at a term that still steps, so never at a
+    numeral: when it re-enters a subterm it is still reducing, or when
+    ``fix f`` would unroll for the rest of the budget (see _run_pure).
+    Otherwise it returns what the full run returns.
+
     The cyclic garbage collector is paused for the run: the engine
     builds no reference cycle, so reference counting frees what the run
     drops. If the collector was on, it is switched back on when the run
@@ -256,6 +307,8 @@ def run_bounded(t: Term, max_steps: int):
     paused = gc.isenabled()
     gc.disable()
     try:
+        if numeral_only:
+            return _run_pure(t, max_steps, {}, numeral_only=True)
         return _run_pure(t, max_steps, {})
     finally:
         if paused:
@@ -263,11 +316,17 @@ def run_bounded(t: Term, max_steps: int):
 
 
 def reaches_numeral(t: Term, k: int):
-    """n if t reduces to the numeral n within k steps, else None."""
+    """n if t reduces to the numeral n within k steps, else None.
+
+    Runs run_bounded with ``numeral_only``, so a run that re-enters a
+    subterm it is still reducing, or reaches a ``fix f`` that would
+    unroll for the rest of the budget, answers None at once instead of
+    after k steps.
+    """
     if t.ty is not Iota:
         raise WrongType(f"reaches_numeral needs a base-type term, got {t.ty}")
-    final, _ = run_bounded(t, k)
-    return final.numeral
+    final, _ = run_bounded(t, k, numeral_only=True)
+    return None if final is None else final.numeral
 
 
 class StepRelation:

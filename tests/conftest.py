@@ -4,7 +4,8 @@ The acceptance module appends (number, passed, name, detail) rows to
 ``ACCEPTANCE_RESULTS``; the hook prints them as a block in the summary
 area, where pytest's output capture cannot swallow them.
 ``shallow_stack`` lowers the recursion limit around a block;
-``collector_off`` runs a block with the cyclic garbage collector off.
+``collector_off`` runs a block with the cyclic garbage collector off;
+``engine_app_calls`` counts the terms a run of the engine makes.
 """
 
 import gc
@@ -43,6 +44,27 @@ def collector_off():
         yield
     finally:
         gc.enable()
+
+
+@contextmanager
+def engine_app_calls():
+    """Run the block with ``opsem.App`` wrapped, and yield a one-item
+    list that counts its calls. The engine makes every term through
+    ``opsem.App``, so this is the work a run did, also where it built
+    only terms the pool already held or dropped them all on return."""
+    from pcfkit import opsem
+
+    app, calls = opsem.App, [0]
+
+    def counted(fun, arg):
+        calls[0] += 1
+        return app(fun, arg)
+
+    opsem.App = counted
+    try:
+        yield calls
+    finally:
+        opsem.App = app
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
-from conftest import shallow_stack
+from conftest import engine_app_calls, shallow_stack
 
 import pcfkit
 from pcfkit.frontend import cli
@@ -460,6 +460,16 @@ class TestCli:
     def test_run_omega(self, capsys):
         code, out, _ = self.run_cli(capsys, "run", str(SAMPLES / "omega.pcf"))
         assert (code, out) == (1, "no-numeral\n")
+
+    def test_run_omega_builds_no_tail(self, capsys):
+        # fix succ never reaches a numeral, so run stops before it
+        # builds succ^k (fix succ) for the whole budget
+        with engine_app_calls() as calls:
+            code, out, err = self.run_cli(
+                capsys, "run", str(SAMPLES / "omega.pcf"),
+                "--max-steps", "1000000")
+        assert (code, out, err) == (1, "no-numeral\n", "")
+        assert calls[0] < 100
 
     def test_check_type_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.pcf"

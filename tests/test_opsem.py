@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import collector_off
+from conftest import collector_off, engine_app_calls
 from pcfkit import opsem
 from pcfkit.frontend import cli, elaborate, parse
 from pcfkit.opsem import (
@@ -196,6 +196,21 @@ def test_reaches_numeral_budget_matters():
     t = App(Pred, App(Pred, numeral(2)))
     assert reaches_numeral(t, 1) is None
     assert reaches_numeral(t, 2) == 0
+
+
+def test_reaches_numeral_runs_through_the_module_name(monkeypatch):
+    # pcfbench's tracer times the run inside reaches_numeral by wrapping
+    # opsem.run_bounded, so reaches_numeral must call it by that name
+    calls = []
+
+    def counted(t, k, **kwargs):
+        calls.append(kwargs)
+        return run_bounded(t, k, **kwargs)
+
+    monkeypatch.setattr(opsem, "run_bounded", counted)
+    assert reaches_numeral(FIX_SUCC, 10 ** 6) is None
+    assert reaches_numeral(App(Pred, numeral(1)), 1) == 0
+    assert calls == [{"numeral_only": True}] * 2
 
 
 def test_reaches_numeral_rejects_arrow_terms():
@@ -446,3 +461,58 @@ def test_memo_is_exact_at_scale(capsys, tmp_path):
     src.write_text(f"{MUL_SRC} #5 #5\n", encoding="utf-8")
     code = cli.main(["run", str(src), "--max-steps", "10000000"])
     assert (code, capsys.readouterr().out) == (0, "25\n")
+
+
+def test_numeral_only_runs_agree_with_full_runs_on_the_fuzz_corpora():
+    # a numeral-only run may stop early only where the full run uses the
+    # whole budget and ends at a term that still steps
+    early = 0
+    for rng, terms in fuzz_corpora():
+        for t in terms:
+            for k in (0, 1, 2, 7, 100, 2000, 10_000, rng.randrange(3000)):
+                got = run_bounded(t, k, numeral_only=True)
+                want = run_bounded(t, k)
+                if got[0] is None:
+                    early += 1
+                    assert got[1] == want[1] == k, (t, k)
+                    assert want[0].rule is not None, (t, k)
+                else:
+                    assert got == want, (t, k)
+    assert early > 1000
+
+
+@pytest.mark.parametrize("src", [
+    None,                                   # fix succ, built by hand
+    r"fix \x:nat. pred x",
+    r"fix \x:nat. ifz #0 #1 x",
+    r"(fix \f:nat -> nat. f) #0",
+])
+def test_numeral_only_runs_stop_at_the_first_sign_of_divergence(src):
+    t = FIX_SUCC if src is None else elaborate(parse(src))
+    with engine_app_calls() as calls:
+        assert run_bounded(t, 10 ** 6, numeral_only=True) == (None, 10 ** 6)
+        assert reaches_numeral(t, 10 ** 6) is None
+    assert calls[0] < 100
+    with engine_app_calls() as calls:
+        run_bounded(t, 2000)
+    assert calls[0] >= 1000
+
+
+def test_numeral_only_runs_miss_a_loop_whose_terms_grow():
+    # each call g (succ n) is a new term, so no subterm repeats and the
+    # run uses its whole budget, as the full run does
+    t = elaborate(parse(r"(fix \g:nat -> nat. \n:nat. g (succ n)) #0"))
+    final, steps = run_bounded(t, 2000, numeral_only=True)
+    assert (final, steps) == run_bounded(t, 2000)
+    assert steps == 2000 and final.rule is not None
+
+
+@pytest.mark.parametrize("t, steps", [
+    (elaborate(parse(f"{ADD_SRC} #200 #200")), 152_328),
+    (mul_term(4), 168_861),
+    (mul_term(5), 6_808_981),
+], ids=["add 200 200", "mul 4 4", "mul 5 5"])
+def test_numeral_only_runs_keep_the_result_of_a_long_run(t, steps):
+    want = run_bounded(t, 10 ** 8)
+    assert want[1] == steps and want[0].numeral is not None
+    assert run_bounded(t, 10 ** 8, numeral_only=True) == want
