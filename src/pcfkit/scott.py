@@ -10,6 +10,12 @@ its type, so every answer is a finite approximant of the intended
 meaning: raising the fuel can turn `bot` into a definite value, never
 change one.  The fuel reaches a term only through its `fix`
 occurrences: every other constant means the same at every fuel.
+
+`fix f` means the least upper bound of the chain f^n(bot).  Once an
+iterate is a fixed point of f, every longer chain ends at it, so every
+higher fuel gives the same value: one `fix` loop stops there, and an
+`Interpreter` hands that value to every higher fuel it is asked for,
+starting at the fuel where the fixed point was found.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ __all__ = [
 ]
 
 _MISS = object()
+_NEVER = float("inf")  # the since of a slot not shared at any fuel
 
 # arguments each constant takes before it computes; fix takes the
 # bottom of its type and its fuel ahead of the function
@@ -143,26 +150,52 @@ def _apply(f, a):
 
 
 class Interpreter:
-    """Memoizing evaluator that denotes each fix-free subterm once.
+    """Memoizing evaluator that computes each value once for all the
+    fuels at which it is the same.
 
     The fuel reaches a denotation only through `fix`, so a subterm with
     no `fix` below it has one value at every fuel.  One fold memo,
     shared by all calls and all fuels, maps each interned subterm either
     to that value or, when it contains a `fix`, to its slot in a
     post-order plan.  A slot holds the operands of an application, each
-    a value or an earlier slot, or (None, the bottom of its type) for a
-    `fix`.  Each fuel keeps the values of a prefix of the plan, and
-    denoting a term at a fuel extends that prefix up to the term's slot,
-    so a new fuel re-runs only the part of the terms above `fix`.  Every
-    slot is computed at most once per fuel.  Extending a prefix also
-    computes the slots that earlier terms planned and did not ask for at
-    that fuel; a fuel ladder or `check_soundness`, which ask for the
-    same terms at each fuel, need every such slot anyway.
+    a value or an earlier slot; (None, the bottom of its type) for a
+    `fix`; or (None, (that bottom, g)) for `fix g`.
+
+    Each slot also has ``since``, the least fuel from which its value is
+    known to be the same at every higher fuel, and ``shared``, that
+    value.  The rules:
+
+    - a `fix` is never shared: its value names its fuel;
+    - `fix g`, with g shared at this fuel or a value, is shared from
+      this fuel on when its result v is a fixed point of g, read off
+      g's cache.  This is exact: the chain reached v within the fuel,
+      and g v = v, so every longer chain stops at v;
+    - any other application is shared from the later ``since`` of its
+      operands, once both are shared or values: the same operands give
+      the same result.
+
+    Sharing starts at the fuel where the fixed point was found, not at
+    the iterate that reached it, so `_apply` reports nothing back and
+    the rules stay exact for fuels asked in any order.
+
+    Each fuel keeps the values of a prefix of the plan, and denoting a
+    term at a fuel returns its shared value at once, or extends that
+    prefix up to the term's slot: it copies each slot shared at that
+    fuel and computes the rest, so a new fuel re-runs only the part of
+    the terms above a `fix` that has not reached its fixed point.
+    Every slot is computed at most once per fuel.  Extending a prefix
+    also computes the slots that earlier terms planned and did not ask
+    for at that fuel; a fuel ladder or `check_soundness`, which ask for
+    the same terms at each fuel, need every such slot anyway.  Until
+    some `fix g` is shared no slot is, and the loop skips the lookups.
     """
 
     def __init__(self):
         self._memo = {}  # term -> its value, or its int slot in the plan
         self._plan = []
+        self._since = []  # slot -> the fuel it is shared from, or _NEVER
+        self._shared = []  # slot -> its value from that fuel on
+        self._sharing = False  # whether any slot is shared
         self._values = {}  # fuel -> values of a prefix of the plan
 
     def denote(self, t, fuel):
@@ -173,15 +206,45 @@ class Interpreter:
             v = fold(t, self._constant, self._node, self._memo)
         if type(v) is not int:
             return v
+        since, shared = self._since, self._shared
+        if since[v] <= fuel:
+            return shared[v]
         values = self._values.get(fuel)
         if values is None:
             values = self._values[fuel] = []
+        sharing = self._sharing
         for f, a in self._plan[len(values):v + 1]:
-            if f is None:  # a fix, with the bottom of its type
+            if sharing:
+                s = len(values)
+                if since[s] <= fuel:
+                    values.append(shared[s])
+                    continue
+            if f is not None:
+                x = _apply(values[f] if type(f) is int else f,
+                           values[a] if type(a) is int else a)
+                values.append(x)
+                if sharing:
+                    sf = since[f] if type(f) is int else 0
+                    sa = since[a] if type(a) is int else 0
+                    if sf <= fuel and sa <= fuel:
+                        since[s] = sf if sf > sa else sa
+                        shared[s] = x
+            elif type(a) is not tuple:  # a fix, with the bottom of its type
                 values.append(Func("fix", (a, fuel)))
-            else:
-                values.append(_apply(values[f] if type(f) is int else f,
-                                     values[a] if type(a) is int else a))
+            else:  # fix g
+                bot, g = a
+                if type(g) is int:
+                    sg, g = since[g], values[g]
+                else:
+                    sg = 0
+                x = _apply(Func("fix", (bot, fuel)), g)
+                values.append(x)
+                # a loop that stopped at a repeated iterate left g x = x
+                # in g's cache
+                if sg <= fuel and g._cache.get(x, _MISS) == x:
+                    s = len(values) - 1
+                    since[s], shared[s] = fuel, x
+                    sharing = self._sharing = True
         return values[v]
 
     def denote_base(self, t, fuel):
@@ -189,21 +252,26 @@ class Interpreter:
             raise WrongType(f"denote_base needs a base-type term, got {t.ty}")
         return self.denote(t, fuel)
 
-    def _slot(self, entry):
-        self._plan.append(entry)
-        return len(self._plan) - 1
-
     def _constant(self, t):
         if t.tag == "zero":
             return unit(0)
         if t.tag == "fix":
-            return self._slot((None, bottom_value(t.params[0])))
+            return self._node(None, None, bottom_value(t.params[0]))
         return Func(t.tag, ())
 
-    def _node(self, _x, f, a):
-        if type(f) is int or type(a) is int:
-            return self._slot((f, a))
-        return _apply(f, a)
+    def _node(self, x, f, a):
+        """The value of application x from those of its operands, or a
+        new slot when one is a slot.  `_constant` passes x None for the
+        slot of a fix, with a the bottom of its type."""
+        if type(f) is int:
+            if x.fun.tag == "fix":
+                f, a = None, (self._plan[f][1], a)
+        elif type(a) is not int and x is not None:
+            return _apply(f, a)
+        self._plan.append((f, a))
+        self._since.append(_NEVER)
+        self._shared.append(None)
+        return len(self._plan) - 1
 
 
 def denote(t, fuel):

@@ -6,6 +6,9 @@ area, where pytest's output capture cannot swallow them.
 ``shallow_stack`` lowers the recursion limit around a block;
 ``collector_off`` runs a block with the cyclic garbage collector off;
 ``engine_app_calls`` counts the terms a run of the engine makes.
+``recursive_function`` and ``recursive_programs`` write surface
+programs that recurse on a numeral, so that their denotations commit
+only at fuels well past one unrolling of `fix`.
 """
 
 import gc
@@ -65,6 +68,32 @@ def engine_app_calls():
         yield calls
     finally:
         opsem.App = app
+
+
+# one-hole contexts around the recursive call; a second {} is the same hole
+_CONTEXTS = ("succ ({})", "pred ({})", "{}", "ifz ({}) (succ ({})) x",
+             "ifz #0 ({}) (pred x)")
+_BASES = ("#{}", "succ #{}", "pred #{}", "x", "ifz x #{} #1")
+
+
+def recursive_function(rng):
+    """Surface source of a function of type nat -> nat that recurses
+    on its argument: ``fix \\f:nat -> nat. \\x:nat. ifz B (C[f (pred
+    x)]) x``, with B a small base term and C one or two random
+    contexts."""
+    body = "f (pred x)"
+    for _ in range(rng.randrange(1, 3)):
+        ctx = rng.choice(_CONTEXTS)
+        body = ctx.format(*[body] * ctx.count("{}"))
+    base = rng.choice(_BASES).format(rng.randrange(4))
+    return rf"(fix \f:nat -> nat. \x:nat. ifz ({base}) ({body}) x)"
+
+
+def recursive_programs(rng, count, max_n=40):
+    """Sources of ``count`` base-type programs: a `recursive_function`
+    applied to a numeral of at most ``max_n``."""
+    return [f"{recursive_function(rng)} #{rng.randrange(max_n + 1)}"
+            for _ in range(count)]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import collector_off, shallow_stack
+from conftest import (
+    collector_off, recursive_function, recursive_programs, shallow_stack,
+)
 from pcfkit import scott
 from pcfkit.frontend import elaborate, parse
-from pcfkit.lifting import BOT, unit
+from pcfkit.lifting import BOT, leq, unit
 from pcfkit.opsem import WrongType
 from pcfkit.scott import (
     Func, Interpreter, Verdict, bottom_value, check_adequacy,
@@ -21,6 +23,10 @@ from pcfkit.syntax import (
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
+ADD = (r"(fix \f:nat -> nat -> nat. \x:nat. \y:nat."
+       r" ifz x (succ (f x (pred y))) y)")
+MUL = (r"(fix \m:nat -> nat -> nat. \x:nat. \y:nat."
+       r" ifz #0 (" + ADD + r" x (m x (pred y))) y)")
 FIX_SUCC = App(Fix(Iota), Succ)
 # fix (k 7): one unrolling then a k step; defined from fuel 1 up
 CONST7 = App(Fix(Iota), App(K(Iota, Iota), numeral(7)))
@@ -143,21 +149,47 @@ def _fuzz_terms(seed, count):
     return [random_term(rng, Iota, depth=6) for _ in range(count)]
 
 
+def _observe(v):
+    """What a value shows: itself at base type, and at nat -> nat its
+    results at bot and at eta 0..3."""
+    if isinstance(v, Func):
+        return tuple(v.apply(a) for a in (BOT, *map(unit, range(4))))
+    return v
+
+
+def _recursive_corpus():
+    """Terms whose denotations commit past fuel 1: recursive programs,
+    add and mul, and base-type fixes over a recursion."""
+    rng = random.Random(88)
+    sources = recursive_programs(rng, 60) + [
+        f"{ADD} #2 #3", f"{ADD} #4 #17", f"{MUL} #2 #3", f"{MUL} #3 #2",
+        rf"fix \z:nat. {ADD} #2 #3",
+        rf"fix \z:nat. succ ({recursive_function(rng)} #12)",
+    ]
+    return [elaborate(parse(src)) for src in sources]
+
+
 def test_shared_interpreter_agrees_with_fresh_ones():
     # one Interpreter per order, answering every (term, fuel) pair in
-    # it; each answer must be what a fresh Interpreter gives
-    terms = _fuzz_terms(83, 40) + _fuzz_terms(84, 40)
+    # it; each answer must show what a fresh Interpreter gives
+    rng = random.Random(89)
+    terms = (_fuzz_terms(83, 40) + _fuzz_terms(84, 40) + _recursive_corpus()
+             + [random_term(rng, Arrow(Iota, Iota), depth=5)
+                for _ in range(30)])
     assert sum(any(_subterms(t).values()) for t in terms) >= 20
-    fuels = (0, 1, 2, 5, 16, 33)
-    pairs = [(t, f) for t in terms for f in fuels]
-    want = {pair: denote_base(*pair) for pair in pairs}
+    fuels = range(65)
+    want = {(t, f): _observe(denote(t, f)) for t in terms for f in fuels}
+    least = [next((f for f in fuels if want[t, f].defined), None)
+             for t in terms if t.ty is Iota]
+    assert sum(f is not None and f >= 8 for f in least) >= 30
+    pairs = list(want)
     interleaved = pairs[:]
     random.Random(85).shuffle(interleaved)
     for order in (sorted(pairs, key=lambda p: p[1]),
                   sorted(pairs, key=lambda p: -p[1]), interleaved):
         interp = Interpreter()
         for t, f in order:
-            assert interp.denote_base(t, f) == want[t, f], (t, f)
+            assert _observe(interp.denote(t, f)) == want[t, f], (t, f)
 
 
 class _CountApply:
@@ -202,6 +234,62 @@ def test_a_new_fuel_reapplies_only_what_is_above_fix(monkeypatch):
             counter.calls = 0
             interp.denote_base(t, fuel)
             assert counter.calls <= above_fix
+
+
+def _base_fixes_only(t):
+    """Whether t has a fix, and each of its fixes is at base type and
+    applied to a function."""
+    subs = _subterms(t)
+    fixes = [x for x in subs if x.tag == "fix"]
+    applied = not any(x.tag == "app" and x.arg.tag == "fix" for x in subs)
+    return bool(fixes) and applied and all(
+        x.params[0] is Iota for x in fixes)
+
+
+def test_a_ladder_stops_applying_past_the_fixed_point(monkeypatch):
+    # a chain of partial naturals repeats by its second iterate, so each
+    # fix of these terms is shared from fuel 2 at the latest
+    counter = _CountApply(monkeypatch)
+    terms = [t for t in _fuzz_terms(92, 300) if _base_fixes_only(t)]
+    assert len(terms) >= 10
+    for t in terms:
+        interp = Interpreter()
+        for fuel in range(3):
+            interp.denote_base(t, fuel)
+        v = interp.denote_base(t, 2)
+        for fuel in range(3, 65):
+            counter.calls = 0
+            assert interp.denote_base(t, fuel) is v
+            assert counter.calls == 0
+
+
+def test_a_ladder_calls_denote_at_every_fuel(monkeypatch):
+    # a tracer that wraps Interpreter.denote sees one call per fuel, also
+    # once the value is shared
+    fuels, denote_ = [], Interpreter.denote
+
+    def counted(self, t, fuel):
+        fuels.append(fuel)
+        return denote_(self, t, fuel)
+
+    monkeypatch.setattr(Interpreter, "denote", counted)
+    interp = Interpreter()
+    values = [interp.denote_base(CONST7, fuel) for fuel in range(65)]
+    assert fuels == list(range(65))
+    assert all(v is values[2] for v in values[2:])
+
+
+def test_arrow_values_are_monotone():
+    # the value at bot is below the value at every numeral, at each fuel
+    rng = random.Random(93)
+    funcs = ([random_term(rng, Arrow(Iota, Iota), depth=5) for _ in range(60)]
+             + [elaborate(parse(recursive_function(rng))) for _ in range(20)])
+    for f in funcs:
+        interp = Interpreter()
+        for fuel in (0, 1, 8, 64):
+            v = interp.denote(f, fuel)
+            for n in range(6):
+                assert leq(v.apply(BOT), v.apply(unit(n))), (f, fuel, n)
 
 
 def test_k_equation_at_base():
