@@ -2,14 +2,17 @@
 
 Carriers are index sets 0..size-1 and the order is a full boolean matrix,
 so every classical side condition (reflexivity, directedness, existence
-of suprema) is checked by exhaustive scan.  Rows are mirrored into int
-bitmasks internally; that keeps the constructor checks usable even for
-function-space posets with a few hundred points.
+of suprema) is checked by exhaustive scan.  A poset keeps each row as
+an int bitmask (its ``rows``); that keeps the constructor checks usable
+even for function-space posets with a few hundred points.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+
+from .syntax import Record
 
 __all__ = [
     "FinitePoset",
@@ -40,16 +43,17 @@ def _bits(mask):
         mask ^= low
 
 
-class FinitePoset:
+class FinitePoset(namedtuple("FinitePoset", "size rows"), Record):
     """A finite poset given by its full order matrix.
 
     ``leq[i][j]`` is truthy when element i is below element j.  The three
-    poset laws are verified exhaustively at construction time.
+    poset laws are verified exhaustively at construction time (``_make``
+    and ``_replace`` skip the checks).
     """
 
-    __slots__ = ("size", "_rows")
+    __slots__ = ()
 
-    def __init__(self, leq):
+    def __new__(cls, leq):
         n = len(leq)
         rows = []
         for row in leq:
@@ -73,22 +77,13 @@ class FinitePoset:
                 reach |= rows[j]
             if reach & ~rows[i]:
                 raise ValueError(f"not transitive below element {i}")
-        self.size = n
-        self._rows = tuple(rows)
+        return super().__new__(cls, n, tuple(rows))
+
+    def __reduce__(self):  # pickle and copy rebuild from the fields
+        return self._make, (tuple(self),)
 
     def le(self, i, j):
-        return bool(self._rows[i] >> j & 1)
-
-    def __eq__(self, other):
-        if not isinstance(other, FinitePoset):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self):
-        return hash(self._rows)
-
-    def __repr__(self):
-        return f"FinitePoset(size={self.size})"
+        return bool(self.rows[i] >> j & 1)
 
 
 def _subset_mask(p, subset):
@@ -107,7 +102,7 @@ def _directed_mask(p, mask):
     members = list(_bits(mask))
     for a in members:
         for b in members:
-            if not p._rows[a] & p._rows[b] & mask:
+            if not p.rows[a] & p.rows[b] & mask:
                 return False
     return True
 
@@ -120,33 +115,33 @@ def lub(p, subset):
     """Least upper bound of the subset over the whole carrier, or None."""
     ub = (1 << p.size) - 1
     for i in _bits(_subset_mask(p, subset)):
-        ub &= p._rows[i]
+        ub &= p.rows[i]
     for u in _bits(ub):
-        if not ub & ~p._rows[u]:
+        if not ub & ~p.rows[u]:
             return u
     return None
 
 
-class FiniteDcpoBot:
+class FiniteDcpoBot(namedtuple("FiniteDcpoBot", "poset bottom tables",
+                               defaults=(None,)), Record):
     """A finite poset with a least element.
 
     Every finite directed subset contains its own maximum, so the
     completeness half of the definition holds automatically and is not
-    checked.
+    checked.  The constructor checks that ``bottom`` is least (``_make``
+    and ``_replace`` skip the check).
     The optional ``tables`` tuple records, for function-space instances,
     which map each carrier index stands for.
     """
 
-    __slots__ = ("poset", "bottom", "tables")
+    __slots__ = ()
 
-    def __init__(self, poset, bottom, tables=None):
+    def __new__(cls, poset, bottom, tables=None):
         if not 0 <= bottom < poset.size:
             raise ValueError("bottom index outside carrier")
-        if poset._rows[bottom] != (1 << poset.size) - 1:
+        if poset.rows[bottom] != (1 << poset.size) - 1:
             raise ValueError("bottom is not below every element")
-        self.poset = poset
-        self.bottom = bottom
-        self.tables = tables
+        return super().__new__(cls, poset, bottom, tables)
 
     @property
     def size(self):
@@ -155,33 +150,23 @@ class FiniteDcpoBot:
     def le(self, i, j):
         return self.poset.le(i, j)
 
-    def __eq__(self, other):
-        if not isinstance(other, FiniteDcpoBot):
-            return NotImplemented
-        return self.poset == other.poset and self.bottom == other.bottom
-
-    def __hash__(self):
-        return hash((self.poset, self.bottom))
-
-    def __repr__(self):
-        return f"FiniteDcpoBot(size={self.size}, bottom={self.bottom})"
-
 
 def _table_monotone(sp, tp, table):
     for i in range(sp.size):
-        ti = tp._rows[table[i]]
-        for j in _bits(sp._rows[i]):
+        ti = tp.rows[table[i]]
+        for j in _bits(sp.rows[i]):
             if not ti >> table[j] & 1:
                 return False
     return True
 
 
-class MonotoneMap:
-    """An order-preserving map between pointed dcpos, as a lookup table."""
+class MonotoneMap(namedtuple("MonotoneMap", "source target table"), Record):
+    """An order-preserving map between pointed dcpos, as a lookup table,
+    checked by the constructor (``_make`` and ``_replace`` skip that)."""
 
-    __slots__ = ("source", "target", "table")
+    __slots__ = ()
 
-    def __init__(self, source, target, table):
+    def __new__(cls, source, target, table):
         table = tuple(table)
         if len(table) != source.size:
             raise ValueError("table length must match the source carrier")
@@ -190,24 +175,10 @@ class MonotoneMap:
                 raise ValueError(f"table value {v} outside target carrier")
         if not _table_monotone(source.poset, target.poset, table):
             raise ValueError("table is not order preserving")
-        self.source = source
-        self.target = target
-        self.table = table
+        return super().__new__(cls, source, target, table)
 
     def __call__(self, i):
         return self.table[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, MonotoneMap):
-            return NotImplemented
-        return (self.source, self.target, self.table) == (
-            other.source, other.target, other.table)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.table))
-
-    def __repr__(self):
-        return f"MonotoneMap({self.table})"
 
 
 def monotone_tables(d, e):
@@ -227,7 +198,7 @@ def exponential(d, e):
     m = len(tables)
     # per argument x and value v, the set of tables g with v <= g(x)
     ge = [[0] * e.size for _ in range(d.size)]
-    erows = e.poset._rows
+    erows = e.poset.rows
     for j, g in enumerate(tables):
         bit = 1 << j
         for x in range(d.size):

@@ -8,26 +8,21 @@ information order are all decidable here.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
+from .syntax import Record
+
 __all__ = ["PartialNat", "BOT", "unit", "kleisli", "fmap", "leq", "render"]
 
 
-class PartialNat:
+class PartialNat(namedtuple("PartialNat", "value"), Record):
     """Bottom or a defined natural. ``value`` is None exactly at bottom."""
 
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
+    __slots__ = ()
 
     @property
     def defined(self) -> bool:
         return self.value is not None
-
-    def __eq__(self, other):
-        return isinstance(other, PartialNat) and self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
 
     def __repr__(self):
         return render(self)

@@ -7,9 +7,11 @@ with a budget and records the trace; reaches_numeral is the bounded
 semi-decision procedure for "this base term computes a numeral".
 
 The engine walks a zipper (a path stack into the term) so that a
-reduction step costs O(1) amortized instead of a root-to-redex rescan.
-``step``, ``reduce`` and ``run_bounded`` all run it: each step of
-``step`` and ``reduce`` is one ``_run_pure`` run with a budget of 1.
+reduction step within one ``run_bounded`` call costs O(1) amortized
+instead of a root-to-redex rescan. Each step of ``step`` and ``reduce``
+is a fresh ``_run_pure`` run with a budget of 1 that starts at the
+root, so it costs O(d) for a redex d deep: ``reduce(fix succ, n)`` is
+quadratic in n.
 
 The relation is call-by-name, so a run can reduce the same interned
 subterm to normal form many times over (the benchmark's ``mul 4 4``
@@ -75,7 +77,8 @@ __all__ = [
 
 
 # one step: the reduct ``next`` and the ``rule`` that produced it
-Step = namedtuple("Step", "next rule")
+class Step(namedtuple("Step", "next rule"), syntax.Record):
+    __slots__ = ()
 
 _AL = RuleName.AppLeft
 _FIX = RuleName.FixRule
@@ -124,7 +127,7 @@ def successors(t: Term) -> list:
     if t.tag != "app":
         return out
     f, a = t.fun, t.arg
-    n = syntax.as_numeral(a)
+    n = a.numeral
     # pred 0 ~> 0 ; pred (n+1) ~> n
     if f is syntax.Pred and n is not None:
         out.append(syntax.numeral(0) if n == 0 else syntax.numeral(n - 1))
@@ -180,8 +183,8 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
     the next redex is at or below the contraction site whenever the new
     subterm still steps (single-valuedness makes the congruence path
     above it stable), so no rescan from the root is needed. step and
-    reduce take their one step through this same zipper with a budget
-    of 1, without a memo.
+    reduce take each step as a fresh run from the root with a budget of
+    1, without a memo.
 
     ``memo``, when given, maps an interned subterm to (normal form,
     steps). Every root redex has a head in normal form, so a subterm

@@ -53,6 +53,12 @@ class Func:
     memoized per argument in ``_cache``, keyed by the argument itself:
     a partial natural by its value, a Func by identity, which interning
     makes structural.
+
+    Pool keys hold their arguments, so a Func reachable from them
+    through caches outlives its `Interpreter` and carries cache hits
+    across operations: clearing the pool after each operation of the
+    `denote` benchmark workload made a round about 1.4x slower (see
+    ROADMAP).  A fix for that leak must keep a cross-Interpreter cache.
     """
 
     __slots__ = ("tag", "args", "_cache", "__weakref__")

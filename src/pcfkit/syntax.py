@@ -32,7 +32,7 @@ __all__ = [
     "PcfType", "Iota", "Arrow",
     "Term", "Zero", "Succ", "Pred", "Ifz", "K", "S", "Fix", "App",
     "TypeMismatch", "WrongType", "Record",
-    "type_of", "numeral", "as_numeral", "fold", "term_size",
+    "type_of", "numeral", "fold", "term_size",
     "term_to_sexp", "type_to_sexp", "parse_term_sexp", "parse_type_sexp",
     "SexpError", "type_surface",
     "random_type", "random_term",
@@ -327,11 +327,6 @@ def numeral(n: int) -> Term:
     for _ in range(n):
         t = App(Succ, t)
     return t
-
-
-def as_numeral(t: Term):
-    """n if t is syntactically numeral(n), else None. O(1): cached."""
-    return t.numeral
 
 
 _MISS = object()

@@ -1,12 +1,14 @@
-"""Indexed well-founded trees with decidable equality, and the encodings
-of types and terms into them.
+"""Indexed well-founded trees with decidable equality, and the encoding
+of terms into them.
 
 A WSpec packages the classifying data (index set, constructor heads,
 arities, source and target maps) as plain callables, because the head
 set for terms is infinite: every pair of types yields its own
 application constructor.  Heads carry their type parameters, so head
 equality is tuple equality and the whole tree comparison reduces to
-finitely many head checks.
+finitely many head checks.  A tree may share subtrees, as those of
+``encode_term`` do, so ``w_equal`` and ``validate`` check each shared
+inner node once per call, keyed by identity.
 """
 
 from __future__ import annotations
@@ -14,15 +16,13 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .syntax import (
-    App, Arrow, Fix, Ifz, Iota, K, PcfType, Pred, Record, S, Succ, Zero,
-    fold, type_of,
+    App, Arrow, Fix, Ifz, K, PcfType, Pred, Record, S, Succ, Zero, fold,
+    type_of,
 )
 
 __all__ = [
     "WSpec", "WTree", "IndexMismatch", "InvalidTree",
-    "w_equal", "validate",
-    "TYPE_SPEC", "TERM_SPEC",
-    "encode_type", "decode_type", "encode_term", "decode_term",
+    "w_equal", "validate", "TERM_SPEC", "encode_term", "decode_term",
 ]
 
 
@@ -48,7 +48,10 @@ def w_equal(spec, u, v):
 
     Pairs are compared in pre-order, leftmost child first, from an
     explicit stack, so tree depth is not bounded by the recursion limit.
+    A pair met again was compared in full before, as no subtree is its
+    own descendant, so skipping it keeps the answer of the tree walk.
     """
+    seen = set()
     stack = [(u, v)]
     while stack:
         u, v = stack.pop()
@@ -58,8 +61,11 @@ def w_equal(spec, u, v):
         if not spec.head_eq(u.head, v.head):
             return False
         # identical heads, so identical arities and child indices
-        for b in reversed(range(spec.arity(u.head))):
-            stack.append((u.children[b], v.children[b]))
+        n = spec.arity(u.head)
+        if n and (key := (id(u), id(v))) not in seen:
+            seen.add(key)
+            for b in reversed(range(n)):
+                stack.append((u.children[b], v.children[b]))
     return True
 
 
@@ -67,6 +73,7 @@ def validate(spec, w, index=None):
     """Check well-indexedness throughout; raises InvalidTree on failure."""
     if not isinstance(w, WTree):
         raise InvalidTree("not a WTree")
+    seen = {}
     stack = [(w, spec.target(w.head) if index is None else index)]
     while stack:
         node, idx = stack.pop()
@@ -80,59 +87,10 @@ def validate(spec, w, index=None):
             raise InvalidTree(
                 f"head {node.head!r} has arity {n}, got "
                 f"{len(node.children)} children")
-        for b in range(n):
-            stack.append((node.children[b], spec.source(node.head, b)))
-
-
-# The type encoding: two heads over a one-point index set.
-
-def _type_arity(head):
-    if head == "iota":
-        return 0
-    if head == "arr":
-        return 2
-    raise InvalidTree(f"unknown type head {head!r}")
-
-
-def _type_target(head):
-    _type_arity(head)
-    return "*"
-
-
-def _type_source(head, b):
-    if head == "arr" and b in (0, 1):
-        return "*"
-    raise InvalidTree(f"no child slot {b} for type head {head!r}")
-
-
-TYPE_SPEC = WSpec(
-    index_eq=lambda a, b: a == b,
-    head_eq=lambda a, b: a == b,
-    arity=_type_arity,
-    target=_type_target,
-    source=_type_source,
-)
-
-
-def encode_type(sigma):
-    if sigma is Iota:
-        return WTree("iota")
-    return WTree("arr", (encode_type(sigma.domain),
-                         encode_type(sigma.codomain)))
-
-
-def decode_type(w):
-    if not isinstance(w, WTree):
-        raise InvalidTree("not a WTree")
-    if w.head == "iota":
-        if w.children:
-            raise InvalidTree("iota is a leaf")
-        return Iota
-    if w.head == "arr":
-        if len(w.children) != 2:
-            raise InvalidTree("arr takes two children")
-        return Arrow(decode_type(w.children[0]), decode_type(w.children[1]))
-    raise InvalidTree(f"unknown type head {w.head!r}")
+        if n and (key := (id(node), id(idx))) not in seen:
+            seen[key] = idx  # keeps idx, and so its id, alive
+            for b in range(n):
+                stack.append((node.children[b], spec.source(node.head, b)))
 
 
 # The term encoding: heads are (tag, *type-parameters), indexed by type.

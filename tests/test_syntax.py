@@ -1,5 +1,9 @@
 """Types, terms, numerals, the checker, and the S-expression format."""
 
+import copy
+import importlib
+import pickle
+import pkgutil
 import random
 
 import pytest
@@ -7,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import collector_off, shallow_stack
 from pcfkit.syntax import (
-    App, Arrow, Fix, Ifz, Iota, K, Pred, S, Succ, Term, TypeMismatch, Zero,
-    as_numeral, fold, numeral, parse_term_sexp, parse_type_sexp, random_term,
+    App, Arrow, Fix, Ifz, Iota, K, Pred, Record, S, Succ, Term, TypeMismatch,
+    Zero, fold, numeral, parse_term_sexp, parse_type_sexp, random_term,
     random_type, term_size, term_to_sexp, type_of, type_surface, type_to_sexp,
     SexpError,
 )
@@ -120,21 +124,21 @@ def test_term_size_is_linear_on_shared_dags():
 
 
 def test_as_numeral_inverse():
-    assert as_numeral(App(Succ, Zero)) == 1
-    assert as_numeral(App(Pred, Zero)) is None
-    assert as_numeral(numeral(17)) == 17
-    assert as_numeral(Succ) is None
+    assert App(Succ, Zero).numeral == 1
+    assert App(Pred, Zero).numeral is None
+    assert numeral(17).numeral == 17
+    assert Succ.numeral is None
 
 
 def test_numeral_round_trip_large():
     # includes the top of the contract range
     for n in (0, 1, 2, 999, 10_000):
-        assert as_numeral(numeral(n)) == n
+        assert numeral(n).numeral == n
 
 
 @given(st.integers(min_value=0, max_value=300))
 def test_numeral_round_trip_fuzz(n):
-    assert as_numeral(numeral(n)) == n
+    assert numeral(n).numeral == n
 
 
 def test_interning_makes_equality_structural():
@@ -231,3 +235,45 @@ def test_type_surface_rendering():
     assert type_surface(NN) == "nat -> nat"
     assert type_surface(Arrow(NN, Iota)) == "(nat -> nat) -> nat"
     assert type_surface(Arrow(Iota, NN)) == "nat -> nat -> nat"
+
+
+def test_every_value_class_is_a_record():
+    # a public class that is a tuple, or that defines its own equality,
+    # gets both from the one record mechanism
+    import pcfkit
+
+    odd = []
+    for info in pkgutil.walk_packages(pcfkit.__path__, "pcfkit."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            cls = getattr(module, name)
+            if (isinstance(cls, type) and cls is not Record
+                    and (issubclass(cls, tuple) or "__eq__" in vars(cls))
+                    and not issubclass(cls, Record)):
+                odd.append(f"{info.name}.{name}")
+    assert odd == []
+
+
+def test_value_records_are_type_exact_and_frozen():
+    from pcfkit.domain import FiniteDcpoBot, FinitePoset, MonotoneMap, chain
+    from pcfkit.lifting import unit
+    from pcfkit.opsem import step
+
+    d = chain(2)
+    plain_data = (unit(3), d.poset, d, MonotoneMap(d, d, (0, 1)))
+    for rec in plain_data:
+        # pickle and copy still rebuild them
+        assert pickle.loads(pickle.dumps(rec)) == rec == copy.deepcopy(rec)
+    for rec in plain_data + (step(App(Pred, Zero)),):
+        plain = tuple(rec)
+        assert rec != plain and plain != rec and not rec == plain
+        twin = type(rec)._make(plain)
+        assert twin == rec and hash(twin) == hash(rec)
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[0], None)
+    with pytest.raises(ValueError, match="antisymmetry"):
+        FinitePoset([[1, 1], [1, 1]])
+    with pytest.raises(ValueError, match="below every"):
+        FiniteDcpoBot(d.poset, 1)
+    with pytest.raises(ValueError, match="order preserving"):
+        MonotoneMap(d, d, (1, 0))

@@ -1,4 +1,4 @@
-"""W-tree equality against structural term equality, plus the encodings."""
+"""W-tree equality against structural term equality, plus the encoding."""
 
 import random
 
@@ -6,12 +6,12 @@ import pytest
 from conftest import shallow_stack
 
 from pcfkit.syntax import (
-    App, Arrow, Iota, K, Pred, Succ, TypeMismatch, Zero, numeral,
-    random_term, random_type,
+    App, Iota, K, Pred, Succ, TypeMismatch, Zero, numeral, random_term,
+    random_type,
 )
 from pcfkit.wtypes import (
-    TERM_SPEC, TYPE_SPEC, IndexMismatch, InvalidTree, WTree, decode_term,
-    decode_type, encode_term, encode_type, validate, w_equal,
+    TERM_SPEC, IndexMismatch, InvalidTree, WTree, decode_term, encode_term,
+    validate, w_equal,
 )
 
 APP_SZ = App(Succ, Zero)
@@ -54,37 +54,39 @@ def test_w_equal_deeper_than_the_recursion_limit():
             assert not w_equal(TERM_SPEC, deep, encode_term(numeral(n - 1)))
 
 
+def test_shared_subtrees_are_checked_once():
+    # t_0 = zero, t_(i+1) = k t_i t_i: 121 distinct nodes at i = 40,
+    # spelling a tree of 2**42 - 3 nodes; the walks are bounded by calls
+    # of the spec's target map, so a walk of the whole tree fails fast
+    k = K(Iota, Iota)
+    t, near = Zero, App(Pred, Zero)
+    for _ in range(40):
+        t, near = App(App(k, t), t), App(App(k, near), near)
+    calls = [0]
+
+    def target(head):
+        calls[0] += 1
+        assert calls[0] <= 1000, "the walk does not share subtrees"
+        return TERM_SPEC.target(head)
+
+    spec = TERM_SPEC._replace(target=target)
+    e = encode_term(t)
+    assert w_equal(spec, e, encode_term(t))
+    assert not w_equal(spec, e, encode_term(near))
+    calls[0] = 0
+    validate(spec, e, Iota)
+
+
 def test_trees_are_records():
     h = ("zero",)
     assert WTree(h).children == ()
     assert WTree(h) == WTree(head=h, children=()) != (h, ())
     iota = WTree("iota")
     assert hash(WTree("arr", (iota, iota))) == hash(
-        encode_type(Arrow(Iota, Iota)))
+        WTree("arr", (WTree("iota"), WTree("iota"))))
     with pytest.raises(AttributeError):
         iota.head = "arr"
     assert repr(iota) == "WTree(head='iota', children=())"
-
-
-def test_type_encoding_frozen_shapes():
-    assert encode_type(Iota) == WTree("iota")
-    assert encode_type(Arrow(Iota, Iota)) == WTree(
-        "arr", (WTree("iota"), WTree("iota")))
-
-
-def test_type_round_trip():
-    rng = random.Random(90)
-    for _ in range(1000):
-        sigma = random_type(rng, depth=4)
-        assert decode_type(encode_type(sigma)) is sigma
-
-
-def test_types_retract_through_trees():
-    rng = random.Random(91)
-    for _ in range(300):
-        a = random_type(rng, depth=3)
-        b = random_type(rng, depth=3)
-        assert w_equal(TYPE_SPEC, encode_type(a), encode_type(b)) == (a is b)
 
 
 def test_term_encoding_frozen_shapes():
@@ -130,7 +132,6 @@ def test_validator_accepts_encodings():
     for _ in range(200):
         t = random_term(rng, random_type(rng, depth=2), depth=5)
         validate(TERM_SPEC, encode_term(t), t.ty)
-    validate(TYPE_SPEC, encode_type(Arrow(Iota, Iota)))
 
 
 def test_validator_rejects_misplaced_child():
@@ -158,10 +159,6 @@ def test_decode_rejects_malformed_trees():
     for w in cases:
         with pytest.raises(InvalidTree):
             decode_term(w)
-    with pytest.raises(InvalidTree):
-        decode_type(WTree("arr", (WTree("iota"),)))
-    with pytest.raises(InvalidTree):
-        decode_type(WTree("nat"))
 
 
 def test_a_tree_is_no_head():
