@@ -22,14 +22,11 @@ from __future__ import annotations
 from collections import namedtuple
 
 from ..syntax import (
-    App as CApp, Arrow, Fix, Ifz, K, S, Succ, Pred, Term, TypeMismatch,
-    Zero, numeral,
+    App as CApp, Arrow, Fix, K, S, Term, TypeMismatch, constant, numeral,
 )
 from . import surface as sf
 
 __all__ = ["elaborate"]
-
-_PRIMS = {"zero": Zero, "succ": Succ, "pred": Pred, "ifz": Ifz}
 
 
 # A variable (fun None, arg its name) or an application with a free
@@ -82,7 +79,7 @@ def _lower(e):
             if e.tag == "fix":
                 raise TypeMismatch(e, "fix applied to an argument of type"
                                    " s -> s", "a bare fix")
-            done.append(_PRIMS[e.tag])
+            done.append(constant(e.tag))
         elif isinstance(e, sf.NumLit):
             done.append(numeral(e.n))
         elif isinstance(e, sf.App) and e.fun == sf.FixS:

@@ -15,22 +15,28 @@ Terms are interned weakly, through ``weak_pool``: a plain dict from a
 term's key to a weak reference that leaves the dict when its term dies,
 so a pool holds only live terms and ``len`` counts them. One pool holds
 every term: ``App`` interns an application itself, in one call, under
-the key ``(fun, arg)``, and ``_intern`` interns a constant under
-``(tag, params)``. A term never equals a tag string, so the two key
-shapes never collide. Interning is single-threaded: it looks a key up
-and then inserts it, so two threads building the same term at once can
-end up with two non-identical copies, and ``is`` stops meaning equal.
+the key ``(fun, arg)``, and ``constant`` interns a constant under
+``(tag, params)``. ``constant`` is also the one table of PCF's seven
+constants: the readers, the printer, the W-tree decoder and the
+elaborator build and name constants through it alone. A term never
+equals a tag string, and a tuple of parameters never equals a term, so
+the two key shapes never collide. Interning is single-threaded: it looks
+a key up and then inserts it, so two threads building the same term at
+once can end up with two non-identical copies, and ``is`` stops meaning
+equal.
 """
 
 from __future__ import annotations
 
 import weakref
+from functools import lru_cache
 
 from .rules import RuleName
 
 __all__ = [
     "PcfType", "Iota", "Arrow",
-    "Term", "Zero", "Succ", "Pred", "Ifz", "K", "S", "Fix", "App",
+    "Term", "constant", "Zero", "Succ", "Pred", "Ifz", "K", "S", "Fix",
+    "App",
     "TypeMismatch", "WrongType", "Record",
     "type_of", "numeral", "fold", "term_size",
     "term_to_sexp", "type_to_sexp", "parse_term_sexp", "parse_type_sexp",
@@ -39,12 +45,17 @@ __all__ = [
 ]
 
 
+def _itself(self, memo=None):
+    return self
+
+
 class PcfType:
     """A PCF type: the base type of naturals, or an arrow between types.
 
     ``domain``/``codomain`` are None exactly for the base type. Instances
     are interned for good, so ``==`` is pointer comparison, and each
     keeps its S-expression in ``sexp`` once ``type_to_sexp`` has made it.
+    A copy is the type itself; unpickling rebuilds it through the pool.
     """
 
     __slots__ = ("domain", "codomain", "sexp")
@@ -60,6 +71,11 @@ class PcfType:
             cached.sexp = "iota" if domain is None else None
             cls._pool[key] = cached
         return cached
+
+    __copy__ = __deepcopy__ = _itself
+
+    def __reduce__(self):
+        return PcfType, (self.domain, self.codomain)
 
     @property
     def is_arrow(self) -> bool:
@@ -153,14 +169,23 @@ def weak_pool():
 class Term:
     """A combinatory PCF term.
 
-    Tags: zero, succ, pred, ifz, k, s, fix, app. Constants carry their
-    type parameters in ``params`` so every well-formed tree has exactly
-    one type. Use the module-level constructors; do not instantiate
-    directly.
+    Tags: app and those of ``constant``. Constants carry their type
+    parameters in ``params`` so every well-formed tree has exactly one
+    type. Use the module-level constructors; do not instantiate
+    directly. A copy is the term itself. Pickling rebuilds a term
+    through ``constant`` and ``App``, so unpickling gives the interned
+    term and shared subterms stay shared; it recurses once per level,
+    so a term deeper than the recursion limit cannot be pickled.
     """
 
     __slots__ = ("tag", "fun", "arg", "params", "ty", "numeral", "rule",
                  "__weakref__")
+    __copy__ = __deepcopy__ = _itself
+
+    def __reduce__(self):
+        if self.tag == "app":
+            return App, (self.fun, self.arg)
+        return constant, (self.tag, self.params)
 
     def __repr__(self):
         return term_to_sexp(self)
@@ -178,24 +203,18 @@ _ARROW_NN = Arrow(Iota, Iota)
 _IFZ_TYPE = Arrow(Iota, Arrow(Iota, _ARROW_NN))
 
 
-def _constant_type(tag, params):
-    if tag == "zero":
-        return Iota
-    if tag in ("succ", "pred"):
-        return _ARROW_NN
-    if tag == "ifz":
-        return _IFZ_TYPE
-    if tag == "k":
-        sigma, tau = params
-        return Arrow(sigma, Arrow(tau, sigma))
-    if tag == "s":
-        sigma, tau, rho = params
-        return Arrow(Arrow(sigma, Arrow(tau, rho)),
-                     Arrow(Arrow(sigma, tau), Arrow(sigma, rho)))
-    if tag == "fix":
-        (sigma,) = params
-        return Arrow(Arrow(sigma, sigma), sigma)
-    raise AssertionError(tag)
+# Each constant's tag, to its type as a function of its type parameters.
+_CONSTANTS = {
+    "zero": lambda: Iota,
+    "succ": lambda: _ARROW_NN,
+    "pred": lambda: _ARROW_NN,
+    "ifz": lambda: _IFZ_TYPE,
+    "k": lambda sigma, tau: Arrow(sigma, Arrow(tau, sigma)),
+    "s": lambda sigma, tau, rho: Arrow(
+        Arrow(sigma, Arrow(tau, rho)),
+        Arrow(Arrow(sigma, tau), Arrow(sigma, rho))),
+    "fix": lambda sigma: Arrow(Arrow(sigma, sigma), sigma),
+}
 
 
 def _app_rule(f, a):
@@ -232,43 +251,57 @@ def _app_rule(f, a):
     return RuleName.AppLeft if f.rule is not None else None
 
 
-def _intern(tag, params):
-    """The constant ``tag`` at type parameters ``params``."""
-    key = (tag, params)
-    ref = _pool.get(key)
-    if ref is not None:
-        t = ref()
-        if t is not None:
-            return t
+def constant(tag: str, params: tuple = ()) -> Term:
+    """The constant ``tag`` at the tuple of type parameters ``params``.
+
+    ValueError for an unknown tag, a wrong number of parameters, or a
+    parameter that is not a PcfType; checked only when the constant is
+    not yet in the pool, as only then is it built.
+    """
+    ref = None
+    if type(params) is tuple:  # else the key could be an application's
+        try:
+            ref = _pool.get((tag, params))
+        except TypeError:  # an unhashable tag or parameter: never pooled
+            pass
+    if ref is not None and (t := ref()) is not None:
+        return t
+    ty_of = _CONSTANTS.get(tag) if isinstance(tag, str) else None
+    if ty_of is None:
+        raise ValueError(f"unknown constant {tag!r}")
+    n = ty_of.__code__.co_argcount
+    if type(params) is not tuple or len(params) != n \
+            or not all(isinstance(p, PcfType) for p in params):
+        raise ValueError(f"{tag} takes {n} type parameters, got {params!r}")
     t = object.__new__(Term)
     t.tag = tag
     t.fun = t.arg = None
     t.params = params
-    t.ty = _constant_type(tag, params)
+    t.ty = ty_of(*params)
     t.numeral = 0 if tag == "zero" else None
     t.rule = None
-    return _pool_add(key, t)
+    return _pool_add((tag, params), t)
 
 
-Zero = _intern("zero", ())
-Succ = _intern("succ", ())
-Pred = _intern("pred", ())
-Ifz = _intern("ifz", ())
+Zero = constant("zero")
+Succ = constant("succ")
+Pred = constant("pred")
+Ifz = constant("ifz")
 
 
 def K(sigma: PcfType, tau: PcfType) -> Term:
     """The constant k at sigma, tau; type sigma => tau => sigma."""
-    return _intern("k", (sigma, tau))
+    return constant("k", (sigma, tau))
 
 
 def S(sigma: PcfType, tau: PcfType, rho: PcfType) -> Term:
     """The constant s; type (sigma=>tau=>rho) => (sigma=>tau) => sigma=>rho."""
-    return _intern("s", (sigma, tau, rho))
+    return constant("s", (sigma, tau, rho))
 
 
 def Fix(sigma: PcfType) -> Term:
     """The fixed-point constant at sigma; type (sigma=>sigma) => sigma."""
-    return _intern("fix", (sigma,))
+    return constant("fix", (sigma,))
 
 
 def App(fun: Term, arg: Term) -> Term:
@@ -397,34 +430,27 @@ def type_to_sexp(ty: PcfType) -> str:
 
 
 def term_to_sexp(t: Term) -> str:
-    # iterative: numerals and fix-chains nest too deep for recursion
-    out = []
+    # iterative: numerals and fix-chains nest too deep for recursion.
+    # names maps each constant met, and the separators, to its string.
+    out, names = [], {")": ")", " ": " "}
     stack = [t]
     while stack:
         x = stack.pop()
-        if isinstance(x, str):
-            out.append(x)
+        s = names.get(x)
+        if s is not None:
+            out.append(s)
         elif x.tag == "app":
-            stack += [")", x.arg, " ", x.fun, "(app "]
-        elif x.tag == "k":
-            a, b = x.params
-            out.append(f"(k {type_to_sexp(a)} {type_to_sexp(b)})")
-        elif x.tag == "s":
-            a, b, c = x.params
-            out.append(
-                f"(s {type_to_sexp(a)} {type_to_sexp(b)} {type_to_sexp(c)})")
-        elif x.tag == "fix":
-            out.append(f"(fix {type_to_sexp(x.params[0])})")
+            out.append("(app ")
+            stack += [")", x.arg, " ", x.fun]
         else:
-            out.append(x.tag)
+            names[x] = s = x.tag if not x.params else "".join(
+                ["(", x.tag, *(" " + type_to_sexp(p) for p in x.params), ")"])
+            out.append(s)
     return "".join(out)
 
 
 class SexpError(ValueError):
     pass
-
-
-_ATOM_TERMS = {"zero": Zero, "succ": Succ, "pred": Pred, "ifz": Ifz}
 
 
 def _sexp_tokens(text):
@@ -443,9 +469,10 @@ def _as_type(x):
 def _as_term(x):
     if isinstance(x, Term):
         return x
-    if isinstance(x, str) and x in _ATOM_TERMS:
-        return _ATOM_TERMS[x]
-    raise SexpError(f"expected a term, got {x!r}")
+    try:
+        return constant(x)  # a constant without parameters is an atom
+    except ValueError:
+        raise SexpError(f"expected a term, got {x!r}") from None
 
 
 def _finish(items):
@@ -456,12 +483,12 @@ def _finish(items):
         return Arrow(_as_type(rest[0]), _as_type(rest[1]))
     if head == "app" and len(rest) == 2:
         return App(_as_term(rest[0]), _as_term(rest[1]))
-    if head == "k" and len(rest) == 2:
-        return K(_as_type(rest[0]), _as_type(rest[1]))
-    if head == "s" and len(rest) == 3:
-        return S(_as_type(rest[0]), _as_type(rest[1]), _as_type(rest[2]))
-    if head == "fix" and len(rest) == 1:
-        return Fix(_as_type(rest[0]))
+    if rest:  # a constant with type parameters
+        params = tuple(map(_as_type, rest))
+        try:
+            return constant(head, params)
+        except ValueError:
+            pass
     raise SexpError(f"bad form ({head} ...) with {len(rest)} items")
 
 
@@ -525,34 +552,22 @@ def random_type(rng, depth: int = 2) -> PcfType:
     return Arrow(random_type(rng, depth - 1), random_type(rng, depth - 1))
 
 
-def _k_params(ty):
-    # sigma => tau => sigma
-    c = ty.codomain
-    if ty.is_arrow and c.is_arrow and c.codomain is ty.domain:
-        return (ty.domain, c.domain)
-    return None
-
-
-def _s_params(ty):
-    # (sigma => tau => rho) => (sigma => tau) => sigma => rho
-    if not ty.is_arrow:
-        return None
-    a, b = ty.domain, ty.codomain
-    if not (a.is_arrow and a.codomain.is_arrow):
-        return None
-    sigma, tau, rho = a.domain, a.codomain.domain, a.codomain.codomain
-    if b is Arrow(Arrow(sigma, tau), Arrow(sigma, rho)):
-        return (sigma, tau, rho)
-    return None
-
-
-def _fix_params(ty):
-    # (sigma => sigma) => sigma
-    a = ty.domain
-    if ty.is_arrow and a is not None and a.is_arrow \
-            and a.domain is a.codomain and a.domain is ty.codomain:
-        return (ty.codomain,)
-    return None
+@lru_cache(maxsize=None)
+def _constants_at(ty):
+    """The constants other than zero that have type ty, as ``constant``'s
+    arguments. A parameter of k, s or fix is read off ty, and the
+    table's type of the guess checks it. Types are interned for good,
+    so caching by type keeps nothing else alive."""
+    guesses = [("succ", ()), ("pred", ()), ("ifz", ())]
+    if ty.is_arrow:
+        d, c = ty.domain, ty.codomain
+        if c.is_arrow:
+            guesses.append(("k", (d, c.domain)))
+        if d.is_arrow and d.codomain.is_arrow:
+            guesses.append(
+                ("s", (d.domain, d.codomain.domain, d.codomain.codomain)))
+        guesses.append(("fix", (c,)))
+    return tuple(g for g in guesses if _CONSTANTS[g[0]](*g[1]) is ty)
 
 
 def _inhabitant(ty):
@@ -567,23 +582,8 @@ def random_term(rng, ty: PcfType = Iota, depth: int = 8) -> Term:
     Builds down from the target type with constructor-appropriate
     choices; depth bounds the recursion.
     """
-    choices = []
-    if ty is Iota:
-        choices.append((3, lambda: numeral(_geom(rng))))
-    if ty is Succ.ty:
-        choices.append((1, lambda: Succ))
-        choices.append((1, lambda: Pred))
-    if ty is Ifz.ty:
-        choices.append((1, lambda: Ifz))
-    kp = _k_params(ty)
-    if kp is not None:
-        choices.append((1, lambda: K(*kp)))
-    sp = _s_params(ty)
-    if sp is not None:
-        choices.append((1, lambda: S(*sp)))
-    fp = _fix_params(ty)
-    if fp is not None:
-        choices.append((1, lambda: Fix(*fp)))
+    choices = [(3, lambda: numeral(_geom(rng)))] if ty is Iota else []
+    choices += [(1, lambda g=g: constant(*g)) for g in _constants_at(ty)]
     if depth > 0:
         choices.append((4, lambda: _random_app(rng, ty, depth)))
         choices.append((1, lambda: App(Fix(ty),

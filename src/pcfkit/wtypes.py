@@ -8,17 +8,16 @@ application constructor.  Heads carry their type parameters, so head
 equality is tuple equality and the whole tree comparison reduces to
 finitely many head checks.  A tree may share subtrees, as those of
 ``encode_term`` do, so ``w_equal`` and ``validate`` check each shared
-inner node once per call, keyed by identity.
+inner node once per call, keyed by identity.  ``validate`` is the one
+checker of the tree format: ``decode_term`` calls it, then rebuilds the
+term through ``syntax.constant`` and ``App`` without checking again.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .syntax import (
-    App, Arrow, Fix, Ifz, K, PcfType, Pred, Record, S, Succ, Zero, fold,
-    type_of,
-)
+from .syntax import App, Arrow, PcfType, Record, constant, fold, type_of
 
 __all__ = [
     "WSpec", "WTree", "IndexMismatch", "InvalidTree",
@@ -97,27 +96,6 @@ def validate(spec, w, index=None):
 # Constants are leaves; application is the one binary head, with the
 # function child at the arrow index and the argument at its domain.
 
-def _decode_leaf(head):
-    tag, params = head[0], head[1:]
-    if tag == "zero" and not params:
-        return Zero
-    if tag == "succ" and not params:
-        return Succ
-    if tag == "pred" and not params:
-        return Pred
-    if tag == "ifz" and not params:
-        return Ifz
-    if not all(isinstance(p, PcfType) for p in params):
-        raise InvalidTree(f"head parameters must be types: {head!r}")
-    if tag == "k" and len(params) == 2:
-        return K(*params)
-    if tag == "s" and len(params) == 3:
-        return S(*params)
-    if tag == "fix" and len(params) == 1:
-        return Fix(*params)
-    raise InvalidTree(f"unknown term head {head!r}")
-
-
 def _term_arity(head):
     return 2 if head[0] == "app" else 0
 
@@ -129,7 +107,10 @@ def _term_target(head):
         if len(head) != 3 or not all(isinstance(p, PcfType) for p in head[1:]):
             raise InvalidTree(f"bad app head {head!r}")
         return head[2]
-    return _decode_leaf(head).ty
+    try:
+        return constant(head[0], head[1:]).ty
+    except ValueError as e:
+        raise InvalidTree(f"bad term head {head!r}: {e}") from None
 
 
 def _term_source(head, b):
@@ -161,40 +142,24 @@ def encode_term(t):
 
 
 def decode_term(w):
+    """The term that ``w`` encodes; InvalidTree if ``validate`` rejects
+    it.  The valid tree is then rebuilt in one post-order walk that
+    decodes each shared node once, keyed by identity."""
+    validate(TERM_SPEC, w)
     out = {}
     stack = [w]
     while stack:
         node = stack[-1]
-        key = id(node)
-        if key in out:
+        if id(node) in out:
             stack.pop()
-            continue
-        if not isinstance(node, WTree):
-            raise InvalidTree("not a WTree")
-        head = node.head
-        if type(head) is not tuple or not head:
-            raise InvalidTree(f"term heads are tuples, got {head!r}")
-        if head[0] == "app":
-            if len(head) != 3 or len(node.children) != 2:
-                raise InvalidTree(f"bad app node {head!r}")
-            sigma, tau = head[1], head[2]
-            if not (isinstance(sigma, PcfType) and isinstance(tau, PcfType)):
-                raise InvalidTree(f"bad app head {head!r}")
+        elif not node.children:
+            out[id(node)] = constant(node.head[0], node.head[1:])
+            stack.pop()
+        else:
             f, a = node.children
             if id(f) in out and id(a) in out:
-                ft, at = out[id(f)], out[id(a)]
-                if ft.ty is not Arrow(sigma, tau) or at.ty is not sigma:
-                    raise InvalidTree("children do not fit the app head")
-                out[key] = App(ft, at)
+                out[id(node)] = App(out[id(f)], out[id(a)])
                 stack.pop()
             else:
-                if id(a) not in out:
-                    stack.append(a)
-                if id(f) not in out:
-                    stack.append(f)
-        else:
-            if node.children:
-                raise InvalidTree(f"{head!r} is a leaf head")
-            out[key] = _decode_leaf(head)
-            stack.pop()
+                stack += [a, f]
     return out[id(w)]

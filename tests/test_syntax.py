@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import collector_off, shallow_stack
 from pcfkit.syntax import (
-    App, Arrow, Fix, Ifz, Iota, K, Pred, Record, S, Succ, Term, TypeMismatch,
-    Zero, fold, numeral, parse_term_sexp, parse_type_sexp, random_term,
-    random_type, term_size, term_to_sexp, type_of, type_surface, type_to_sexp,
-    SexpError,
+    _CONSTANTS, App, Arrow, Fix, Ifz, Iota, K, Pred, Record, S, Succ, Term,
+    TypeMismatch, Zero, constant, fold, numeral, parse_term_sexp,
+    parse_type_sexp, random_term, random_type, term_size, term_to_sexp,
+    type_of, type_surface, type_to_sexp, SexpError,
 )
 
 NN = Arrow(Iota, Iota)
@@ -62,6 +62,18 @@ def test_combinator_types():
         Arrow(sigma, Arrow(tau, rho)),
         Arrow(Arrow(sigma, tau), Arrow(sigma, rho)))
     assert type_of(Fix(sigma)) is Arrow(Arrow(sigma, sigma), sigma)
+
+
+def test_constant_is_the_table_of_constants():
+    assert constant("zero") is Zero and constant("ifz", ()) is Ifz
+    assert constant("k", (Iota, NN)) is K(Iota, NN)
+    assert constant("s", (NN, Iota, NN)) is S(NN, Iota, NN)
+    assert constant("fix", (NN,)) is Fix(NN)
+    for tag, params in [("frob", ()), ("app", (Iota, Iota)), ("zero", (Iota,)),
+                        ("k", (Iota,)), ("k", [Iota, Iota]), ("fix", ("x",)),
+                        ("s", ([Iota], Iota, Iota)), (Succ, Zero), ([], ())]:
+        with pytest.raises(ValueError):
+            constant(tag, params)
 
 
 def test_numeral_zero_and_two():
@@ -195,6 +207,17 @@ def test_term_sexp_forms():
     assert term_to_sexp(K(Iota, NN)) == "(k iota (arr iota iota))"
     assert term_to_sexp(S(Iota, Iota, Iota)) == "(s iota iota iota)"
     assert term_to_sexp(App(Fix(Iota), Succ)) == "(app (fix iota) succ)"
+    # every constant of the table, at random type parameters: an atom
+    # without parameters, else a form headed by its tag
+    rng = random.Random(24)
+    for tag, ty_of in _CONSTANTS.items():
+        for _ in range(5):
+            params = tuple(random_type(rng, 3)
+                           for _ in range(ty_of.__code__.co_argcount))
+            c = constant(tag, params)
+            words = " ".join([tag, *map(type_to_sexp, params)])
+            assert term_to_sexp(c) == (f"({words})" if params else tag)
+            assert parse_term_sexp(term_to_sexp(c)) is c
 
 
 def test_sexp_round_trip_fuzz():
@@ -225,7 +248,8 @@ def test_deep_arrow_types_print_without_stack():
 
 
 def test_sexp_rejects_garbage():
-    for bad in ("", "(app zero", "zap", "(arr iota)", "(k iota)", "zero zero"):
+    for bad in ("", "(app zero", "zap", "(arr iota)", "(k iota)", "zero zero",
+                "k", "(zero)", "(fix zero)", "(s iota iota)", "(frob iota)"):
         with pytest.raises(SexpError):
             parse_term_sexp(bad)
 
@@ -252,6 +276,21 @@ def test_every_value_class_is_a_record():
                     and not issubclass(cls, Record)):
                 odd.append(f"{info.name}.{name}")
     assert odd == []
+
+
+def test_terms_and_types_copy_and_pickle_as_themselves():
+    from pcfkit.opsem import step
+
+    shared = numeral(3)
+    for _ in range(40):  # 2**40 paths through 40 distinct nodes
+        shared = App(App(K(Iota, Iota), shared), shared)
+    for x in (App(Succ, Zero), shared, Fix(NN), Arrow(NN, Iota), Iota):
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+    assert len(pickle.dumps(shared)) < 5_000  # shared subterms stay shared
+    rec = step(App(Pred, numeral(2)))  # a record that holds a term
+    for back in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert back == rec and back.next is rec.next
 
 
 def test_value_records_are_type_exact_and_frozen():

@@ -6,8 +6,8 @@ import pytest
 from conftest import shallow_stack
 
 from pcfkit.syntax import (
-    App, Iota, K, Pred, Succ, TypeMismatch, Zero, numeral, random_term,
-    random_type,
+    _CONSTANTS, App, Iota, K, Pred, Succ, TypeMismatch, Zero, constant,
+    numeral, random_term, random_type,
 )
 from pcfkit.wtypes import (
     TERM_SPEC, IndexMismatch, InvalidTree, WTree, decode_term, encode_term,
@@ -100,6 +100,12 @@ def test_term_round_trip():
     for _ in range(1000):
         t = random_term(rng, random_type(rng, depth=2), depth=6)
         assert decode_term(encode_term(t)) is t
+    # every constant of the table, at random type parameters
+    for tag, ty_of in _CONSTANTS.items():
+        for _ in range(5):
+            c = constant(tag, tuple(random_type(rng, 3)
+                                    for _ in range(ty_of.__code__.co_argcount)))
+            assert decode_term(encode_term(c)) is c
 
 
 def test_encode_rejects_ill_typed():
@@ -155,6 +161,10 @@ def test_decode_rejects_malformed_trees():
         WTree(("app", Iota, Iota), (WTree(("zero",)),)),
         WTree(("app", Iota, Iota), (WTree(("zero",)), WTree(("zero",)))),
         WTree(("app", "x", "y"), (WTree(("succ",)), WTree(("zero",)))),
+        WTree(("zero", Iota)),
+        WTree(("fix", "x")),
+        WTree(("k", [Iota], Iota)),
+        WTree(("succ",), (WTree(("zero",)),)),
     ]
     for w in cases:
         with pytest.raises(InvalidTree):
@@ -170,3 +180,59 @@ def test_a_tree_is_no_head():
             decode_term(w)
         with pytest.raises(InvalidTree, match="term heads are tuples"):
             validate(TERM_SPEC, w)
+
+
+def _near_miss(rng, w, subtrees):
+    """w with one node changed: its tag, the number or kind of its type
+    parameters, the number of its children, a child, or its head's
+    shape."""
+    if w.children and rng.random() < 0.6:
+        b = rng.randrange(len(w.children))
+        kids = list(w.children)
+        kids[b] = _near_miss(rng, kids[b], subtrees)
+        return WTree(w.head, tuple(kids))
+    head, kids = w.head, w.children
+    roll = rng.randrange(6)
+    if roll == 0:
+        return WTree((rng.choice([*_CONSTANTS, "app", "frob"]),) + head[1:],
+                     kids)
+    if roll == 1:
+        more = rng.random() < 0.5
+        return WTree(head + (random_type(rng, 1),) if more else head[:-1],
+                     kids)
+    if roll == 2 and len(head) > 1:
+        i = rng.randrange(1, len(head))
+        p = rng.choice([random_type(rng, 1), "iota", [Iota]])
+        return WTree(head[:i] + (p,) + head[i + 1:], kids)
+    if roll == 3:
+        more = not kids or rng.random() < 0.5
+        return WTree(head, kids + (rng.choice(subtrees),) if more
+                     else kids[:-1])
+    if roll == 4 and kids:
+        i = rng.randrange(len(kids))
+        return WTree(head, kids[:i] + (rng.choice(subtrees),) + kids[i + 1:])
+    if roll == 5:
+        return WTree(rng.choice([list(head), WTree(head), ()]), kids)
+    return rng.choice(subtrees)
+
+
+def test_decode_rejects_exactly_what_validate_rejects():
+    rng = random.Random(95)
+    valid = invalid = 0
+    for _ in range(2000):
+        w = encode_term(random_term(rng, random_type(rng, depth=1), depth=4))
+        subtrees, stack = [], [w]
+        while stack:
+            subtrees.append(stack.pop())
+            stack += subtrees[-1].children
+        bad = _near_miss(rng, w, subtrees)
+        try:
+            validate(TERM_SPEC, bad)
+        except InvalidTree:
+            invalid += 1
+            with pytest.raises(InvalidTree):
+                decode_term(bad)
+        else:
+            valid += 1
+            assert encode_term(decode_term(bad)) == bad
+    assert valid > 200 and invalid > 200
