@@ -30,9 +30,13 @@ When ``fix f ~> f (fix f)`` gives a term that steps inside its argument
 (f is succ, pred or ifz s t), each later step unrolls the same
 ``fix f`` once more, so k steps from ``fix f`` give ``f^k (fix f)`` and
 the budget always runs out there. The engine builds ``f^k (fix f)`` for
-the k steps left in one loop, with no frame per unrolling. This serves
-``step``, ``reduce`` and ``run_bounded`` alike, and ``successors``
-still derives each unrolling on its own.
+the k steps left at once, with no frame per unrolling, through
+``syntax._unroll``: it walks up the part of the chain the pool already
+holds, builds the first missing term through ``App``, and enters each
+later one with no pool lookup, which could not hit, since its key holds
+the term built just before it in the same call. This serves ``step``,
+``reduce`` and ``run_bounded`` alike, and ``successors`` still derives
+each unrolling on its own.
 
 A caller that reads only whether a run ends at a numeral
 (``reaches_numeral``, and so the adequacy and semidecidability checks,
@@ -204,10 +208,13 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
     a term that steps inside its argument (f is succ, pred or ifz s t),
     every step left unrolls that same ``fix f`` once more, so the
     budget runs out there, at ``f^k (fix f)`` for the k steps left.
-    The zipper builds that term in one loop and sets the step count to
-    the budget. The frames above it then pop on an exhausted budget and
-    store no memo entry, just as after k single steps. Such a ``fix f``
-    never reaches a normal form, so the memo never holds it.
+    The zipper builds that term with ``syntax._unroll``, which looks the
+    chain up in the pool only as far as its first missing term (every
+    later key holds a term built in the same call, so no lookup could
+    hit), and sets the step count to the budget. The frames above it
+    then pop on an exhausted budget and store no memo entry, just as
+    after k single steps. Such a ``fix f`` never reaches a normal form,
+    so the memo never holds it.
 
     ``numeral_only`` (with a memo) is for a caller that reads only
     whether the final term is a numeral. The run marks the start term,
@@ -270,9 +277,7 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
                 # unrolls it once more: the budget runs out here
                 if numeral_only:
                     return None, max_steps
-                f = cur.arg
-                for _ in range(max_steps - steps):
-                    cur = App(f, cur)
+                cur = syntax._unroll(cur.arg, cur, max_steps - steps)
                 steps = max_steps
             else:
                 steps += 1

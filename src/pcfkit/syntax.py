@@ -16,14 +16,16 @@ term's key to a weak reference that leaves the dict when its term dies,
 so a pool holds only live terms and ``len`` counts them. One pool holds
 every term: ``App`` interns an application itself, in one call, under
 the key ``(fun, arg)``, and ``constant`` interns a constant under
-``(tag, params)``. ``constant`` is also the one table of PCF's seven
-constants: the readers, the printer, the W-tree decoder and the
-elaborator build and name constants through it alone. A term never
-equals a tag string, and a tuple of parameters never equals a term, so
-the two key shapes never collide. Interning is single-threaded: it looks
-a key up and then inserts it, so two threads building the same term at
-once can end up with two non-identical copies, and ``is`` stops meaning
-equal.
+``(tag, params)``. The engine's fix shortcut builds a chain
+``f^k (fix f)`` through ``_unroll``, which enters the same keys without
+looking up those that cannot be there yet. ``constant`` is also the one
+table of PCF's seven constants: the readers, the printer, the W-tree
+decoder and the elaborator build and name constants through it alone.
+A term never equals a tag string, and a tuple of parameters never
+equals a term, so the two key shapes never collide. Interning is
+single-threaded: it looks a key up and then inserts it, so two threads
+building the same term at once can end up with two non-identical
+copies, and ``is`` stops meaning equal.
 """
 
 from __future__ import annotations
@@ -332,6 +334,44 @@ def App(fun: Term, arg: Term) -> Term:
         t.numeral = None
     t.rule = _app_rule(fun, arg)
     return _pool_add(key, t)
+
+
+def _unroll(f: Term, t: Term, k: int) -> Term:
+    """``f^k t``: f applied k times to t, the term k calls of ``App``
+    would build.
+
+    For the engine's fix shortcut: f is succ, pred or ``ifz s u`` and t
+    is ``fix f``, so each term of the chain has t's type, no numeral,
+    and the rule that steps inside its argument. The part of the chain
+    the pool already holds is walked up by lookup, so a chain a caller
+    still holds stays shared, and the first missing term is built by
+    ``App``. Each later term copies ``ty``, ``numeral`` and ``rule``
+    from that one and enters the pool with no lookup: its key holds the
+    term built just before it in this call, which no earlier key holds,
+    so a lookup could not hit.
+    """
+    cur = t
+    while k:
+        ref = _pool.get((f, cur))
+        if ref is None or (nxt := ref()) is None:
+            break
+        cur, k = nxt, k - 1
+    if not k:
+        return cur
+    cur = first = App(f, cur)
+    ty, num, rule = first.ty, first.numeral, first.rule
+    new, add = object.__new__, _pool_add
+    for _ in range(k - 1):
+        u = new(Term)
+        u.tag = "app"
+        u.fun = f
+        u.arg = cur
+        u.params = ()
+        u.ty = ty
+        u.numeral = num
+        u.rule = rule
+        cur = add((f, cur), u)
+    return cur
 
 
 def type_of(t: Term) -> PcfType:

@@ -51,23 +51,29 @@ def collector_off():
 
 @contextmanager
 def engine_app_calls():
-    """Run the block with ``opsem.App`` wrapped, and yield a one-item
-    list that counts its calls. The engine makes every term through
+    """Run the block with ``opsem.App`` and ``syntax._unroll`` wrapped,
+    and yield a one-item list that counts the applications they return:
+    one per call of ``opsem.App``, and k per ``f^k t`` that the fix
+    shortcut unrolls. The engine makes every other term through
     ``opsem.App``, so this is the work a run did, also where it built
     only terms the pool already held or dropped them all on return."""
-    from pcfkit import opsem
+    from pcfkit import opsem, syntax
 
-    app, calls = opsem.App, [0]
+    app, unroll, calls = opsem.App, syntax._unroll, [0]
 
     def counted(fun, arg):
         calls[0] += 1
         return app(fun, arg)
 
-    opsem.App = counted
+    def counted_unroll(f, t, k):
+        calls[0] += k
+        return unroll(f, t, k)
+
+    opsem.App, syntax._unroll = counted, counted_unroll
     try:
         yield calls
     finally:
-        opsem.App = app
+        opsem.App, syntax._unroll = app, unroll
 
 
 # one-hole contexts around the recursive call; a second {} is the same hole

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import collector_off, engine_app_calls
-from pcfkit import opsem
+from pcfkit import opsem, syntax
 from pcfkit.frontend import cli, elaborate, parse
 from pcfkit.opsem import (
     Step, StepRelation, WrongType, _run_pure, reaches_numeral, reduce,
@@ -274,8 +274,12 @@ def test_step_relation_adapter():
     assert not r.eq(numeral(2), numeral(3))
 
 
-@pytest.mark.parametrize("f", [Succ, Pred, App(App(Ifz, Zero), Zero)],
-                         ids=["succ", "pred", "ifz"])
+# the f for which fix f ~> f (fix f) steps inside its argument
+each_unrolling_f = pytest.mark.parametrize(
+    "f", [Succ, Pred, App(App(Ifz, Zero), Zero)], ids=["succ", "pred", "ifz"])
+
+
+@each_unrolling_f
 def test_fix_unrolls_the_same_on_every_path(f):
     # fix f ~> f (fix f) steps inside its argument for these f, so n
     # steps give f^n (fix f); step by step, each reduct is also the one
@@ -294,6 +298,61 @@ def test_fix_unrolls_the_same_on_every_path(f):
         want = App(f, want)
     assert run_bounded(t, 50_000) == (want, 50_000)
     assert _run_pure(t, 50_000) == (want, 50_000)
+
+
+@each_unrolling_f
+def test_a_new_fix_chain_is_interned_at_every_level(f):
+    # the run meets no term of the chain in the pool, so it builds all
+    # 50,000 itself; each must be the term App gives for its parts
+    t = App(Fix(Iota), f)
+    with collector_off():
+        before = len(Term._pool)
+        final, steps = run_bounded(t, 50_000)
+        assert steps == 50_000 and len(Term._pool) == before + 50_000
+        rule = App(f, t).rule
+        c = final
+        for _ in range(50_000):
+            assert App(c.fun, c.arg) is c and c.fun is f
+            assert (c.ty, c.numeral, c.rule) == (Iota, None, rule)
+            c = c.arg
+        assert c is t
+        assert run_bounded(t, 50_000) == (final, 50_000)
+        assert _run_pure(t, 50_000) == (final, 50_000)
+        assert len(Term._pool) == before + 50_000
+
+
+@each_unrolling_f
+def test_a_longer_fix_run_extends_the_chain_it_finds(f):
+    # a chain a caller still holds is walked up, not built again: the
+    # inner 100 levels of the 1,000-step run are the 100-step run's
+    t = App(Fix(Iota), f)
+    with collector_off():
+        short, _ = run_bounded(t, 100)
+        before = len(Term._pool)
+        long, _ = run_bounded(t, 1_000)
+        assert len(Term._pool) == before + 900
+        c = long
+        for _ in range(900):
+            c = c.arg
+        assert c is short
+
+
+def test_a_new_fix_chain_costs_no_app_call_per_term(monkeypatch):
+    # a counter that does not depend on the machine: unrolling makes
+    # its first new term through App and the rest without a lookup
+    calls, app = [0], syntax.App
+
+    def counted(fun, arg):
+        calls[0] += 1
+        return app(fun, arg)
+
+    monkeypatch.setattr(syntax, "App", counted)
+    monkeypatch.setattr(opsem, "App", counted)
+    with collector_off():
+        before = len(Term._pool)
+        final, _ = run_bounded(FIX_SUCC, 50_000)
+        assert len(Term._pool) == before + 50_000
+    assert calls[0] <= 2
 
 
 def fuzz_corpora():

@@ -204,6 +204,20 @@ def test_cross_checks_pass_on_the_recursive_corpus():
             assert v.status == "ok", (src, v)
 
 
+def test_add_commits_at_exactly_one_iterate_per_call():
+    # add #x #k calls itself k times, so fix needs k + 1 iterates: an
+    # arrow-type fix that unrolls one iterate too few or too many
+    # commits one fuel late or early. Fuel k + 1 is asked first, so a
+    # fix one iterate short fails there before fuel 0 can make its
+    # count negative.
+    for k in range(41):
+        for x in (0, 2, 7):
+            t = elaborate(parse(f"{ADD} #{x} #{k}"))
+            interp = Interpreter()
+            assert interp.denote_base(t, k + 1) == unit(x + k), (x, k)
+            assert interp.denote_base(t, k) == BOT, (x, k)
+
+
 class _CountApply:
     """Counts the calls of scott._apply, the only place a value of an
     application is computed."""
