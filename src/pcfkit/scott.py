@@ -11,6 +11,17 @@ meaning: raising the fuel can turn `bot` into a definite value, never
 change one.  The fuel reaches a term only through its `fix`
 occurrences: every other constant means the same at every fuel.
 
+So an application with no `fix` below it has one value, for every
+fuel and every `Interpreter`, and it is kept on the interned term, in
+`syntax.Term.value`: the first `Interpreter` to compute it writes it
+there, and every later one reads it and walks no further down.  The
+value is an interned `Func`, which a fresh `Interpreter` would compute
+as the same object, or a partial natural, which it would compute
+equal; it refers to no term, so the term still dies with its last
+outside reference.  A constant's value
+is not kept on it: `Succ`, `Pred` and `Ifz` live for good, and the
+caches of their values would grow with every argument ever applied.
+
 `fix f` means the least upper bound of the chain f^n(bot).  Once an
 iterate is a fixed point of f, every longer chain ends at it, so every
 higher fuel gives the same value: one `fix` loop stops there, and an
@@ -58,7 +69,9 @@ class Func:
     through caches outlives its `Interpreter` and carries cache hits
     across operations: clearing the pool after each operation of the
     `denote` benchmark workload made a round about 1.4x slower (see
-    ROADMAP).  A fix for that leak must keep a cross-Interpreter cache.
+    ROADMAP), measured before fix-free values were kept on terms.  A
+    fix for that leak keeps that cross-Interpreter cache, the values on
+    terms, and measures again what the Func caches still add.
     """
 
     __slots__ = ("tag", "args", "_cache", "__weakref__")
@@ -160,12 +173,15 @@ class Interpreter:
     fuels at which it is the same.
 
     The fuel reaches a denotation only through `fix`, so a subterm with
-    no `fix` below it has one value at every fuel.  One fold memo,
-    shared by all calls and all fuels, maps each interned subterm either
-    to that value or, when it contains a `fix`, to its slot in a
+    no `fix` below it has one value at every fuel, kept on the term (see
+    the module docstring); the fold stops at such a subterm.  One fold
+    memo, shared by all calls and all fuels, maps each constant met to
+    its value and each subterm with a `fix` below it to its slot in a
     post-order plan.  A slot holds the operands of an application, each
     a value or an earlier slot; (None, the bottom of its type) for a
-    `fix`; or (None, (that bottom, g)) for `fix g`.
+    `fix`; or (None, (that bottom, g)) for `fix g`.  Plan slots, and
+    their values at each fuel, stay in the `Interpreter`: none of them
+    is ever kept on a term.
 
     Each slot also has ``since``, the least fuel from which its value is
     known to be the same at every higher fuel, and ``shared``, that
@@ -194,10 +210,14 @@ class Interpreter:
     for at that fuel; a fuel ladder or `check_soundness`, which ask for
     the same terms at each fuel, need every such slot anyway.  Until
     some `fix g` is shared no slot is, and the loop skips the lookups.
+
+    A negative fuel is a ValueError, here and so in `denote`,
+    `denote_base` and the checks: an arrow-type `fix` would iterate for
+    good.
     """
 
     def __init__(self):
-        self._memo = {}  # term -> its value, or its int slot in the plan
+        self._memo = {}  # constant -> its value; term -> its plan slot
         self._plan = []
         self._since = []  # slot -> the fuel it is shared from, or _NEVER
         self._shared = []  # slot -> its value from that fuel on
@@ -205,11 +225,16 @@ class Interpreter:
         self._values = {}  # fuel -> values of a prefix of the plan
 
     def denote(self, t, fuel):
+        if fuel < 0:
+            raise ValueError(f"fuel must be a natural, got {fuel}")
+        v = t.value
+        if v is not None:
+            return v
         if t.ty is None:
             type_of(t)  # raises with the offending subterm
         v = self._memo.get(t, _MISS)
         if v is _MISS:
-            v = fold(t, self._constant, self._node, self._memo)
+            v = fold(t, self._constant, self._node, self._memo, known=True)
         if type(v) is not int:
             return v
         since, shared = self._since, self._shared
@@ -273,7 +298,8 @@ class Interpreter:
             if x.fun.tag == "fix":
                 f, a = None, (self._plan[f][1], a)
         elif type(a) is not int and x is not None:
-            return _apply(f, a)
+            x.value = v = _apply(f, a)
+            return v
         self._plan.append((f, a))
         self._since.append(_NEVER)
         self._shared.append(None)

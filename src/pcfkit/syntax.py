@@ -9,7 +9,15 @@ every term carries three facts computed once at construction time:
   * ``rule``     which reduction rule (if any) applies to the whole term
 
 The reduction engine and the denotational interpreter lean on these
-fields heavily; nothing in this module ever rescans a subtree.
+fields heavily; nothing in this module ever rescans a subtree. A fourth
+field belongs to ``scott`` and is set lazily:
+
+  * ``value``    the denotation of an application with no ``fix`` below
+                 it, once some interpreter has computed it, else None;
+                 such a value is the same at every fuel, and a value
+                 that depends on the fuel is never kept here
+
+``fold`` with ``known`` stops at a subterm whose ``value`` is set.
 
 Terms are interned weakly, through ``weak_pool``: a plain dict from a
 term's key to a weak reference that leaves the dict when its term dies,
@@ -181,7 +189,7 @@ class Term:
     """
 
     __slots__ = ("tag", "fun", "arg", "params", "ty", "numeral", "rule",
-                 "__weakref__")
+                 "value", "__weakref__")
     __copy__ = __deepcopy__ = _itself
 
     def __reduce__(self):
@@ -281,7 +289,7 @@ def constant(tag: str, params: tuple = ()) -> Term:
     t.params = params
     t.ty = ty_of(*params)
     t.numeral = 0 if tag == "zero" else None
-    t.rule = None
+    t.rule = t.value = None
     return _pool_add((tag, params), t)
 
 
@@ -333,6 +341,7 @@ def App(fun: Term, arg: Term) -> Term:
     else:
         t.numeral = None
     t.rule = _app_rule(fun, arg)
+    t.value = None
     return _pool_add(key, t)
 
 
@@ -370,6 +379,7 @@ def _unroll(f: Term, t: Term, k: int) -> Term:
         u.ty = ty
         u.numeral = num
         u.rule = rule
+        u.value = None
         cur = add((f, cur), u)
     return cur
 
@@ -405,7 +415,7 @@ def numeral(n: int) -> Term:
 _MISS = object()
 
 
-def fold(t: Term, leaf, node, memo=None):
+def fold(t: Term, leaf, node, memo=None, known=False):
     """Compute a value for t bottom-up over its DAG of distinct subterms.
 
     ``leaf(c)`` gives the value of a constant c and ``node(x, f_val,
@@ -414,6 +424,11 @@ def fold(t: Term, leaf, node, memo=None):
     first, and each distinct one is computed once and stored in
     ``memo`` under the term itself; pass a dict to keep the values
     across calls.
+
+    With ``known``, a subterm whose ``value`` slot is set has its value
+    there: the walk reads it and goes no further down. ``node`` may set
+    the slot of the application it is given, and a value it puts there
+    is not also stored in ``memo``.
     """
     if memo is None:
         memo = {}
@@ -422,22 +437,30 @@ def fold(t: Term, leaf, node, memo=None):
     stack = [t]
     while stack:
         cur = stack[-1]
-        if cur in memo:
+        if known and cur.value is not None or cur in memo:
             stack.pop()
         elif cur.tag != "app":
             memo[cur] = leaf(cur)
             stack.pop()
         else:
-            fv = memo.get(cur.fun, _MISS)
-            av = memo.get(cur.arg, _MISS)
+            fv = cur.fun.value if known else None
+            if fv is None:
+                fv = memo.get(cur.fun, _MISS)
+            av = cur.arg.value if known else None
+            if av is None:
+                av = memo.get(cur.arg, _MISS)
             if fv is not _MISS and av is not _MISS:
-                memo[cur] = node(cur, fv, av)
+                v = node(cur, fv, av)
+                if not known or cur.value is None:
+                    memo[cur] = v
                 stack.pop()
             else:
                 if av is _MISS:
                     stack.append(cur.arg)
                 if fv is _MISS:
                     stack.append(cur.fun)
+    if known and (v := t.value) is not None:
+        return v
     return memo[t]
 
 

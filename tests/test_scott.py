@@ -1,6 +1,7 @@
 """Denotational interpreter: frozen values, laws, and the check harnesses."""
 
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -11,13 +12,13 @@ from conftest import (
 from pcfkit import scott
 from pcfkit.frontend import elaborate, parse
 from pcfkit.lifting import BOT, leq, unit
-from pcfkit.opsem import WrongType
+from pcfkit.opsem import WrongType, reaches_numeral
 from pcfkit.scott import (
     Func, Interpreter, Verdict, bottom_value, check_adequacy,
     check_semidecidability, check_soundness, denote, denote_base,
 )
 from pcfkit.syntax import (
-    App, Arrow, Fix, Ifz, Iota, K, Pred, S, Succ, TypeMismatch, Zero,
+    App, Arrow, Fix, Ifz, Iota, K, Pred, S, Succ, Term, TypeMismatch, Zero,
     fold, numeral, random_term,
 )
 
@@ -124,6 +125,40 @@ def test_denote_rejects_ill_typed_terms():
         denote_base(Succ, 0)
 
 
+def test_a_negative_fuel_is_refused_at_once():
+    # an arrow-type fix at fuel -1 would iterate -1, -2, ... for good
+    add = elaborate(parse((SAMPLES / "add.pcf").read_text()))
+    three = numeral(3)
+    denote(three, 0)  # its value is kept on the term: no walk below
+    calls = [
+        lambda: denote(add, -1), lambda: denote_base(add, -1),
+        lambda: denote(three, -1), lambda: Interpreter().denote_base(add, -1),
+        lambda: check_soundness(add, 10, -1),
+        lambda: check_adequacy(add, -1, 10),
+        lambda: check_semidecidability(add, -1, 10),
+    ]
+    start = time.perf_counter()
+    for call in calls:
+        with pytest.raises(ValueError, match="fuel"):
+            call()
+    assert time.perf_counter() - start < 1
+
+
+def test_values_kept_on_terms_keep_no_term_alive():
+    # a value refers to no term, so a denoted term still dies with its
+    # last outside reference
+    with collector_off():
+        before = len(Term._pool)
+        deep = numeral(20000)
+        fuzz = next(t for t in _fuzz_terms(95, 50)
+                    if any(_subterms(t).values()))
+        assert denote(deep, 0) == unit(20000)
+        denote(fuzz, 16)
+        assert deep.value is not None
+        del deep, fuzz
+        assert len(Term._pool) == before
+
+
 def test_interpreter_memoizes():
     interp = Interpreter()
     assert interp.denote(numeral(3), 0) is interp.denote(numeral(3), 0)
@@ -142,6 +177,12 @@ def _subterms(t):
     memo = {}
     fold(t, lambda c: c.tag == "fix", lambda _x, f, a: f or a, memo)
     return memo
+
+
+def _forget_values(terms):
+    """Clear the value that scott keeps on each of these terms."""
+    for x in terms:
+        x.value = None
 
 
 def _fuzz_terms(seed, count):
@@ -178,7 +219,14 @@ def test_shared_interpreter_agrees_with_fresh_ones():
                 for _ in range(30)])
     assert sum(any(_subterms(t).values()) for t in terms) >= 20
     fuels = range(65)
-    want = {(t, f): _observe(denote(t, f)) for t in terms for f in fuels}
+    # each answer wanted is computed from no value kept on a term, so a
+    # value wrongly kept there cannot sit on both sides
+    subterms = {t: list(_subterms(t)) for t in terms}
+    want = {}
+    for t in terms:
+        for f in fuels:
+            _forget_values(subterms[t])
+            want[t, f] = _observe(denote(t, f))
     least = [next((f for f in fuels if want[t, f].defined), None)
              for t in terms if t.ty is Iota]
     assert sum(f is not None and f >= 8 for f in least) >= 30
@@ -234,16 +282,21 @@ class _CountApply:
 
 
 def test_fix_free_applications_are_applied_once(monkeypatch):
+    # a fix-free application keeps its value on the term, so over all
+    # Interpreters and fuels it is applied once, by the first one
     counter = _CountApply(monkeypatch)
     terms = [t for t in _fuzz_terms(86, 60) if not any(_subterms(t).values())]
     assert len(terms) >= 10
-    for t in terms:
-        apps = sum(x.tag == "app" for x in _subterms(t))
+    subterms = {x for t in terms for x in _subterms(t)}
+    apps = sum(x.tag == "app" for x in subterms)
+    _forget_values(subterms)
+    for want in (apps, 0):
         counter.calls = 0
-        interp = Interpreter()
-        for fuel in range(65):
-            interp.denote_base(t, fuel)
-        assert counter.calls == apps
+        for t in terms:
+            for fuel in range(65):
+                Interpreter().denote_base(t, fuel)
+        assert counter.calls == want
+    assert all(x.value is not None for x in subterms if x.tag == "app")
 
 
 def test_a_new_fuel_reapplies_only_what_is_above_fix(monkeypatch):
@@ -303,6 +356,28 @@ def test_a_ladder_calls_denote_at_every_fuel(monkeypatch):
     values = [interp.denote_base(CONST7, fuel) for fuel in range(65)]
     assert fuels == list(range(65))
     assert all(v is values[2] for v in values[2:])
+
+
+def test_logical_relation_at_arrow_type():
+    # f : nat -> nat and an argument s: whenever f s denotes eta n, it
+    # reduces to the numeral n, and applying f's value to s's gives
+    # that same value (Plotkin's relation, read at arrow type)
+    rng = random.Random(96)
+    funcs = ([random_term(rng, Arrow(Iota, Iota), depth=5) for _ in range(60)]
+             + [elaborate(parse(recursive_function(rng))) for _ in range(20)])
+    args = ([numeral(n) for n in range(6)] + [FIX_SUCC]
+            + [elaborate(parse(src)) for src in recursive_programs(rng, 4)])
+    committed, at_bot = 0, 0
+    for f in funcs:
+        fv = denote(f, 64)
+        for a in args:
+            v = denote_base(App(f, a), 64)
+            if v.defined:
+                committed += 1
+                at_bot += a is FIX_SUCC  # f is not strict
+                assert reaches_numeral(App(f, a), 10**6) == v.value, (f, a)
+                assert fv.apply(denote(a, 64)) == v, (f, a)
+    assert committed >= 600 and at_bot >= 20
 
 
 def test_arrow_values_are_monotone():
