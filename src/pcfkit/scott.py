@@ -24,9 +24,13 @@ caches of their values would grow with every argument ever applied.
 
 `fix f` means the least upper bound of the chain f^n(bot).  Once an
 iterate is a fixed point of f, every longer chain ends at it, so every
-higher fuel gives the same value: one `fix` loop stops there, and an
-`Interpreter` hands that value to every higher fuel it is asked for,
-starting at the fuel where the fixed point was found.
+higher fuel gives the same value: one `fix` loop stops there.  An
+`Interpreter` folds a term once per fuel, each fuel into its own memo,
+and keeps one shared table of the subterms known to have the same value
+at every fuel from some fuel on.  `fix g` enters it at the fuel where
+the fixed point of g was found, the applications built on it follow,
+and every higher fuel takes their values from the table instead of
+applying again.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .lifting import BOT, kleisli, fmap, render, unit
+# pcfbench's tracer wraps `reduce` under this module's name, and its
+# install fails without it; the `opsem.reduce` span of the `denote`
+# workload comes only from check_soundness's call. Keep both until the
+# tracer's patch list changes (ROADMAP item 1).
 from .opsem import reaches_numeral, reduce
 from .syntax import (
     Iota, Record, WrongType, fold, type_of, term_to_sexp, weak_pool,
@@ -46,7 +54,8 @@ __all__ = [
 ]
 
 _MISS = object()
-_NEVER = float("inf")  # the since of a slot not shared at any fuel
+_UNSHARED = (float("inf"), None)  # the since and value of no shared term
+_ZERO = unit(0)  # one object, so Zero denotes the same at every fuel
 
 # arguments each constant takes before it computes; fix takes the
 # bottom of its type and its fuel ahead of the function
@@ -174,57 +183,50 @@ class Interpreter:
 
     The fuel reaches a denotation only through `fix`, so a subterm with
     no `fix` below it has one value at every fuel, kept on the term (see
-    the module docstring); the fold stops at such a subterm.  One fold
-    memo, shared by all calls and all fuels, maps each constant met to
-    its value and each subterm with a `fix` below it to its slot in a
-    post-order plan.  A slot holds the operands of an application, each
-    a value or an earlier slot; (None, the bottom of its type) for a
-    `fix`; or (None, (that bottom, g)) for `fix g`.  Plan slots, and
-    their values at each fuel, stay in the `Interpreter`: none of them
-    is ever kept on a term.
+    the module docstring); the fold stops at such a subterm.  Above it,
+    each fuel has its own fold memo, from each constant and each subterm
+    with a `fix` below it to its value at that fuel.  None of these
+    values is ever kept on a term.
 
-    Each slot also has ``since``, the least fuel from which its value is
-    known to be the same at every higher fuel, and ``shared``, that
-    value.  The rules:
+    A subterm with a `fix` below it may also be in the shared table,
+    with ``since``, the least fuel from which its value is known to be
+    the same at every higher fuel, and that value.  The rules:
 
     - a `fix` is never shared: its value names its fuel;
-    - `fix g`, with g shared at this fuel or a value, is shared from
-      this fuel on when its result v is a fixed point of g, read off
-      g's cache.  This is exact: the chain reached v within the fuel,
-      and g v = v, so every longer chain stops at v;
+    - `fix g`, with g shared at this fuel or free of `fix`, is shared
+      from this fuel on when its result v is a fixed point of g, read
+      off g's cache.  This is exact: the chain reached v within the
+      fuel, and g v = v, so every longer chain stops at v;
     - any other application is shared from the later ``since`` of its
-      operands, once both are shared or values: the same operands give
-      the same result.
+      operands, once both are shared or free of `fix`: the same
+      operands give the same result.
 
     Sharing starts at the fuel where the fixed point was found, not at
     the iterate that reached it, so `_apply` reports nothing back and
     the rules stay exact for fuels asked in any order.
 
-    Each fuel keeps the values of a prefix of the plan, and denoting a
-    term at a fuel returns its shared value at once, or extends that
-    prefix up to the term's slot: it copies each slot shared at that
-    fuel and computes the rest, so a new fuel re-runs only the part of
-    the terms above a `fix` that has not reached its fixed point.
-    Every slot is computed at most once per fuel.  Extending a prefix
-    also computes the slots that earlier terms planned and did not ask
-    for at that fuel; a fuel ladder or `check_soundness`, which ask for
-    the same terms at each fuel, need every such slot anyway.  Until
-    some `fix g` is shared no slot is, and the loop skips the lookups.
+    Denoting a term at a fuel returns its shared value at once, or folds
+    it into that fuel's memo.  A fuel's memo starts with every value
+    shared at that fuel, and the fold goes no further down at them, so
+    a new fuel re-applies only the part of the terms above a `fix` that
+    has not reached its fixed point, and each application at most once
+    per fuel.  A value shared only after its fuel's memo was made is
+    computed again there, equal.  Until some `fix g` is shared nothing
+    is, and the fold skips the lookups.
 
-    A negative fuel is a ValueError, here and so in `denote`,
-    `denote_base` and the checks: an arrow-type `fix` would iterate for
-    good.
+    A fuel that is not an int (a bool neither) is a TypeError, and a
+    negative one a ValueError, here and so in `denote`, `denote_base`
+    and the checks: an arrow-type `fix` would iterate for good.
     """
 
     def __init__(self):
-        self._memo = {}  # constant -> its value; term -> its plan slot
-        self._plan = []
-        self._since = []  # slot -> the fuel it is shared from, or _NEVER
-        self._shared = []  # slot -> its value from that fuel on
-        self._sharing = False  # whether any slot is shared
-        self._values = {}  # fuel -> values of a prefix of the plan
+        self._memo = {}  # fuel -> {constant or term above a fix: value}
+        self._shared = {}  # term -> (since, its value from that fuel on)
+        self._fuel = None  # the fuel of the fold running
 
     def denote(self, t, fuel):
+        if type(fuel) is not int:
+            raise TypeError(f"fuel must be an int, got {fuel!r}")
         if fuel < 0:
             raise ValueError(f"fuel must be a natural, got {fuel}")
         v = t.value
@@ -232,51 +234,19 @@ class Interpreter:
             return v
         if t.ty is None:
             type_of(t)  # raises with the offending subterm
-        v = self._memo.get(t, _MISS)
-        if v is _MISS:
-            v = fold(t, self._constant, self._node, self._memo, known=True)
-        if type(v) is not int:
-            return v
-        since, shared = self._since, self._shared
-        if since[v] <= fuel:
-            return shared[v]
-        values = self._values.get(fuel)
-        if values is None:
-            values = self._values[fuel] = []
-        sharing = self._sharing
-        for f, a in self._plan[len(values):v + 1]:
-            if sharing:
-                s = len(values)
-                if since[s] <= fuel:
-                    values.append(shared[s])
-                    continue
-            if f is not None:
-                x = _apply(values[f] if type(f) is int else f,
-                           values[a] if type(a) is int else a)
-                values.append(x)
-                if sharing:
-                    sf = since[f] if type(f) is int else 0
-                    sa = since[a] if type(a) is int else 0
-                    if sf <= fuel and sa <= fuel:
-                        since[s] = sf if sf > sa else sa
-                        shared[s] = x
-            elif type(a) is not tuple:  # a fix, with the bottom of its type
-                values.append(Func("fix", (a, fuel)))
-            else:  # fix g
-                bot, g = a
-                if type(g) is int:
-                    sg, g = since[g], values[g]
-                else:
-                    sg = 0
-                x = _apply(Func("fix", (bot, fuel)), g)
-                values.append(x)
-                # a loop that stopped at a repeated iterate left g x = x
-                # in g's cache
-                if sg <= fuel and g._cache.get(x, _MISS) == x:
-                    s = len(values) - 1
-                    since[s], shared[s] = fuel, x
-                    sharing = self._sharing = True
-        return values[v]
+        s = self._shared.get(t)
+        if s is not None and s[0] <= fuel:
+            return s[1]
+        self._fuel = fuel
+        if t.tag != "app":
+            return self._constant(t)
+        memo = self._memo.get(fuel)
+        if memo is None:
+            # the fold stops at what is shared at this fuel
+            memo = self._memo[fuel] = {
+                x: v for x, (since, v) in self._shared.items()
+                if since <= fuel}
+        return fold(t, self._constant, self._node, memo, known=True)
 
     def denote_base(self, t, fuel):
         if t.ty is not Iota:
@@ -285,25 +255,39 @@ class Interpreter:
 
     def _constant(self, t):
         if t.tag == "zero":
-            return unit(0)
+            return _ZERO
         if t.tag == "fix":
-            return self._node(None, None, bottom_value(t.params[0]))
+            return Func("fix", (bottom_value(t.params[0]), self._fuel))
         return Func(t.tag, ())
 
     def _node(self, x, f, a):
-        """The value of application x from those of its operands, or a
-        new slot when one is a slot.  `_constant` passes x None for the
-        slot of a fix, with a the bottom of its type."""
-        if type(f) is int:
-            if x.fun.tag == "fix":
-                f, a = None, (self._plan[f][1], a)
-        elif type(a) is not int and x is not None:
-            x.value = v = _apply(f, a)
+        """The value of application x from those of its operands, kept
+        on x when both are free of fix, and shared when the rules say."""
+        v = _apply(f, a)
+        fun, arg = x.fun, x.arg
+        # an operand is free of fix when its value is kept on it or it
+        # is a constant other than fix
+        fun_free = (fun.value is not None
+                    or fun.tag != "app" and fun.tag != "fix")
+        arg_free = (arg.value is not None
+                    or arg.tag != "app" and arg.tag != "fix")
+        if fun_free and arg_free:
+            x.value = v
             return v
-        self._plan.append((f, a))
-        self._since.append(_NEVER)
-        self._shared.append(None)
-        return len(self._plan) - 1
+        fuel, shared = self._fuel, self._shared
+        if fun.tag == "fix":
+            # a loop that stopped at a repeated iterate left g v = v in
+            # g's cache
+            if (arg_free or shared.get(arg, _UNSHARED)[0] <= fuel) \
+                    and a._cache.get(v, _MISS) == v:
+                shared[x] = (fuel, v)
+        elif shared:
+            sf = 0 if fun_free else shared.get(fun, _UNSHARED)[0]
+            sa = 0 if arg_free else shared.get(arg, _UNSHARED)[0]
+            since = sf if sf > sa else sa
+            if since <= fuel:
+                shared[x] = (since, v)
+        return v
 
 
 def denote(t, fuel):

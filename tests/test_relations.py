@@ -42,6 +42,16 @@ def test_zero_steps_is_equality():
         assert not decide_k_step(r, x, (x + 1) % 3, 0)
 
 
+def test_a_negative_step_bound_is_refused():
+    # with no step to take, x would otherwise be related to itself in -1
+    # steps by one procedure and not by the other
+    r = CHAIN.as_step_function()
+    for decide in (decide_k_step, decide_reaches_within):
+        for k in (-1, -5):
+            with pytest.raises(ValueError, match="step bound"):
+                decide(r, 0, 0, k)
+
+
 def test_pcf_step_relation_one_step():
     r = StepRelation()
     assert decide_k_step(r, App(Pred, Zero), Zero, 1)

@@ -126,21 +126,25 @@ def test_denote_rejects_ill_typed_terms():
 
 
 def test_a_negative_fuel_is_refused_at_once():
-    # an arrow-type fix at fuel -1 would iterate -1, -2, ... for good
+    # an arrow-type fix at fuel -1 would iterate -1, -2, ... for good,
+    # and at fuel 2.5 count 1.5, 0.5, -0.5, ...; a fuel True would pass
+    # for 1
     add = elaborate(parse((SAMPLES / "add.pcf").read_text()))
     three = numeral(3)
     denote(three, 0)  # its value is kept on the term: no walk below
     calls = [
-        lambda: denote(add, -1), lambda: denote_base(add, -1),
-        lambda: denote(three, -1), lambda: Interpreter().denote_base(add, -1),
-        lambda: check_soundness(add, 10, -1),
-        lambda: check_adequacy(add, -1, 10),
-        lambda: check_semidecidability(add, -1, 10),
+        lambda n: denote(add, n), lambda n: denote_base(add, n),
+        lambda n: denote(three, n), lambda n: denote_base(three, n),
+        lambda n: Interpreter().denote_base(add, n),
+        lambda n: check_soundness(add, 10, n),
+        lambda n: check_adequacy(add, n, 10),
+        lambda n: check_semidecidability(add, n, 10),
     ]
     start = time.perf_counter()
-    for call in calls:
-        with pytest.raises(ValueError, match="fuel"):
-            call()
+    for fuel, error in ((-1, ValueError), (2.5, TypeError), (True, TypeError)):
+        for call in calls:
+            with pytest.raises(error, match="fuel"):
+                call(fuel)
     assert time.perf_counter() - start < 1
 
 
@@ -340,6 +344,31 @@ def test_a_ladder_stops_applying_past_the_fixed_point(monkeypatch):
             counter.calls = 0
             assert interp.denote_base(t, fuel) is v
             assert counter.calls == 0
+
+
+def test_a_shared_subterm_is_not_applied_again(monkeypatch):
+    # add's arrow-type fix never reaches a fixed point, so the term is
+    # folded at each fuel; its base-type fix z. 7 is shared from fuel 2
+    # at the latest (1 if k 7 was applied to 7 before), and the fold of
+    # each higher fuel takes it from the shared table
+    calls = []
+    apply = scott._apply
+
+    def recorded(f, a):
+        calls.append(f)
+        return apply(f, a)
+
+    monkeypatch.setattr(scott, "_apply", recorded)
+    t = elaborate(parse(rf"{ADD} (fix \z:nat. #7) #20"))
+    interp = Interpreter()
+    base_fixes = []  # per fuel, how often fix z. 7 was applied
+    for fuel in range(41):
+        del calls[:]
+        v = interp.denote_base(t, fuel)
+        assert v == (unit(27) if fuel > 20 else BOT), fuel
+        base_fixes.append(
+            sum(f.tag == "fix" and f.args[0] == BOT for f in calls))
+    assert base_fixes[0] == 1 and base_fixes[3:] == [0] * 38
 
 
 def test_a_ladder_calls_denote_at_every_fuel(monkeypatch):
