@@ -158,8 +158,8 @@ def main(argv=None):
                    help="fix unrolling budget (default 32)")
     for name, blurb in (("adequacy", "denotation, then cross-check the"
                                      " operational result"),
-                        ("sound", "reduction trace cross-checked against"
-                                  " the denotation")):
+                        ("sound", "denotation, then check one run's"
+                                  " finished subterms")):
         p = cmd(name, blurb)
         p.add_argument("--fuel", type=_budget, default=32)
         p.add_argument("--max-steps", type=_budget, default=10000)

@@ -22,9 +22,11 @@ in a number of steps that does not depend on the context.
 ``run_bounded`` therefore keeps a memo from such subterms to their
 normal form and step count, which lives for that one call, and reuses
 an entry whenever its steps fit in the budget left: the final term and
-the step count are exactly those of the memo-free run. ``step`` and
-``reduce`` run without the memo, and the memo-free ``_run_pure`` stays
-the reference.
+the step count are exactly those of the memo-free run. ``run_memo``
+runs the same way and also hands the memo to its caller: each entry is
+a pair c ~>* nf, which the soundness check denotes on both sides.
+``step`` and ``reduce`` run without the memo, and the memo-free
+``_run_pure`` stays the reference.
 
 When ``fix f ~> f (fix f)`` gives a term that steps inside its argument
 (f is succ, pred or ifz s t), each later step unrolls the same
@@ -76,7 +78,7 @@ from .syntax import App, Iota, Term, WrongType
 
 __all__ = [
     "Step", "WrongType", "step", "successors", "reduce", "run_bounded",
-    "reaches_numeral", "StepRelation", "engine_name",
+    "run_memo", "reaches_numeral", "StepRelation", "engine_name",
 ]
 
 
@@ -167,8 +169,10 @@ def reduce(t: Term, max_steps: int):
 
     Returns (final, trace, exhausted) where trace lists (term, rule)
     after each step and exhausted means the budget ran out with the
-    term still stepping.
+    term still stepping. A budget that is not an int (a bool neither)
+    is a TypeError, and a negative one a ValueError.
     """
+    _check_natural(max_steps, "step budget")
     trace = []
     cur = t
     for _ in range(max_steps):
@@ -289,15 +293,55 @@ def engine_name() -> str:
     return "pure"
 
 
+def _check_natural(n, what):
+    """Refuse n unless it is an int (a bool is not) and not negative."""
+    if type(n) is not int:
+        raise TypeError(f"{what} must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{what} must be a natural, got {n}")
+
+
+def run_memo(t: Term, max_steps: int, *, numeral_only=False):
+    """run_bounded's run, with its memo: returns (final, steps_used, memo).
+
+    The memo maps each subterm c that the zipper entered through a
+    congruence rule and reduced to its normal form nf within the budget
+    to ``(nf, steps)``, so each entry is a pair c ~>* nf of the paper's
+    relation. In a numeral-only run, the start term and each subterm the
+    run left unfinished map to an in-progress mark instead of a pair.
+
+    The cyclic garbage collector is paused for the run: the engine
+    builds no reference cycle, so reference counting frees what the run
+    drops. If the collector was on, it is switched back on when the run
+    returns or raises; if it was off, it stays off. A step budget that
+    is not an int (a bool neither) is a TypeError, and a negative one a
+    ValueError.
+    """
+    _check_natural(max_steps, "step budget")
+    memo = {}
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        if numeral_only:
+            final, steps = _run_pure(t, max_steps, memo, numeral_only=True)
+        else:
+            final, steps = _run_pure(t, max_steps, memo)
+    finally:
+        if paused:
+            gc.enable()
+    return final, steps, memo
+
+
 def run_bounded(t: Term, max_steps: int, *, numeral_only=False):
     """Bounded reduction without the trace; returns (final, steps_used).
 
     Same final term and step count as reduce, much cheaper on long runs:
     it runs _run_pure with a memo of subterm normal forms that lives for
-    this one call. The memo keeps the step count exact because every
-    root redex has a head in normal form, so a subterm entered through a
-    congruence rule reaches its normal form, in steps that do not depend
-    on the context, before the zipper leaves it (see _run_pure).
+    this one call (see run_memo). The memo keeps the step count exact
+    because every root redex has a head in normal form, so a subterm
+    entered through a congruence rule reaches its normal form, in steps
+    that do not depend on the context, before the zipper leaves it (see
+    _run_pure).
 
     With ``numeral_only``, for a caller that reads only whether the run
     ends at a numeral, the run may stop early and return
@@ -306,21 +350,8 @@ def run_bounded(t: Term, max_steps: int, *, numeral_only=False):
     numeral: when it re-enters a subterm it is still reducing, or when
     ``fix f`` would unroll for the rest of the budget (see _run_pure).
     Otherwise it returns what the full run returns.
-
-    The cyclic garbage collector is paused for the run: the engine
-    builds no reference cycle, so reference counting frees what the run
-    drops. If the collector was on, it is switched back on when the run
-    returns or raises; if it was off, it stays off.
     """
-    paused = gc.isenabled()
-    gc.disable()
-    try:
-        if numeral_only:
-            return _run_pure(t, max_steps, {}, numeral_only=True)
-        return _run_pure(t, max_steps, {})
-    finally:
-        if paused:
-            gc.enable()
+    return run_memo(t, max_steps, numeral_only=numeral_only)[:2]
 
 
 def reaches_numeral(t: Term, k: int):

@@ -40,11 +40,11 @@ from collections import namedtuple
 from .lifting import BOT, kleisli, fmap, render, unit
 # pcfbench's tracer wraps `reduce` under this module's name, and its
 # install fails without it; the `opsem.reduce` span of the `denote`
-# workload comes only from check_soundness's call. Keep both until the
-# tracer's patch list changes (ROADMAP item 1).
-from .opsem import reaches_numeral, reduce
+# workload comes only from check_soundness's `reduce(s, 1)`. Both go
+# when the tracer's patch list changes (ROADMAP item 1).
+from .opsem import _check_natural, reaches_numeral, reduce, run_memo
 from .syntax import (
-    Iota, Record, WrongType, fold, type_of, term_to_sexp, weak_pool,
+    Arrow, Iota, Record, WrongType, fold, type_of, term_to_sexp, weak_pool,
 )
 
 __all__ = [
@@ -56,6 +56,10 @@ __all__ = [
 _MISS = object()
 _UNSHARED = (float("inf"), None)  # the since and value of no shared term
 _ZERO = unit(0)  # one object, so Zero denotes the same at every fuel
+# the arguments at which check_soundness compares two values of a type;
+# None stands for the value itself
+_PROBES = {Iota: (None,),
+           Arrow(Iota, Iota): (BOT,) + tuple(unit(n) for n in range(6))}
 
 # arguments each constant takes before it computes; fix takes the
 # bottom of its type and its fuel ahead of the function
@@ -225,10 +229,7 @@ class Interpreter:
         self._fuel = None  # the fuel of the fold running
 
     def denote(self, t, fuel):
-        if type(fuel) is not int:
-            raise TypeError(f"fuel must be an int, got {fuel!r}")
-        if fuel < 0:
-            raise ValueError(f"fuel must be a natural, got {fuel}")
+        _check_natural(fuel, "fuel")
         v = t.value
         if v is not None:
             return v
@@ -314,32 +315,58 @@ class Verdict(namedtuple("Verdict", "status value detail",
 def check_soundness(s, max_steps, fuel):
     """Reduction must not change a committed denotation.
 
-    Denotes s, and when that commits to a value, walks the trace checking
-    every reduct against it at the same fuel and at half fuel.  A bottom
-    on the reduct side is fine (a lower approximant), a different value
-    is a violation.
+    Denotes s, and when that commits to eta n, runs s once within
+    max_steps and checks the pairs c ~>* c' of that run, by the paper's
+    soundness theorem (t ~> t' gives the same denotation, so t ~>* t'
+    does too), at the same fuel and at half fuel:
+
+    - s against its first reduct and against the run's final term, which
+      need not be a normal form: each must not commit to anything but n;
+    - each finished subterm c against its normal form nf, one memo entry
+      of the run (see `opsem.run_memo`): at base type the two values,
+      and at type nat -> nat their results at bot and at 0..5, must not
+      commit to different numerals.
+
+    A bottom on either side is fine (a lower approximant).  A subterm of
+    any other type is skipped: its `Func` values compare as data, and
+    equal functions can be different data.  So the cost follows the
+    distinct subterms the run finishes, not its steps.  The first
+    reduct comes from `reduce`, so the reference engine's step from s is
+    checked on its own.  A step budget or a fuel that is not a natural
+    is refused at once, as in `opsem.run_memo` and `Interpreter.denote`.
     """
+    _check_natural(max_steps, "step budget")
     interp = Interpreter()
     start = interp.denote_base(s, fuel)
     if not start.defined:
         return Verdict("vacuous")
     n = start.value
-    _, trace, _ = reduce(s, max_steps)
     fuels = (fuel,) if fuel == 0 else (fuel, fuel // 2)
-    for t, _rule in trace:
+    _, trace, _ = reduce(s, min(max_steps, 1))
+    final, _, memo = run_memo(s, max_steps)
+    pairs = [(s, t) for t, _rule in trace] + [(s, final)]
+    pairs += [(c, hit[0]) for c, hit in memo.items() if c.ty in _PROBES]
+    for c, nf in pairs:
         for f2 in fuels:
-            m = interp.denote(t, f2)
-            if m.defined and m.value != n:
-                return Verdict(
-                    "violation", n,
-                    f"{term_to_sexp(t)} denotes {render(m)} at fuel {f2},"
-                    f" expected eta {n}")
+            # s is held to eta n, its value at the full fuel
+            a = start if c is s else interp.denote(c, f2)
+            b = interp.denote(nf, f2)
+            for x in _PROBES[c.ty]:
+                va, vb = (a, b) if x is None else (_apply(a, x), _apply(b, x))
+                if va.defined and vb.defined and va.value != vb.value:
+                    at = "" if x is None else f" applied to {render(x)}"
+                    return Verdict(
+                        "violation", n,
+                        f"{term_to_sexp(c)} ⇝* {term_to_sexp(nf)}, but{at}"
+                        f" they denote {render(va)} and {render(vb)}"
+                        f" at fuel {f2}")
     return Verdict("ok", n)
 
 
 def check_adequacy(t, fuel, max_steps):
     """A committed denotation must be realized operationally; a run
     still stepping when its budget ends makes the check inconclusive."""
+    _check_natural(max_steps, "step budget")
     v = denote_base(t, fuel)
     if not v.defined:
         return Verdict("vacuous")
@@ -354,6 +381,7 @@ def check_adequacy(t, fuel, max_steps):
 
 def check_semidecidability(t, fuel, max_steps):
     """The two semi-decision procedures must agree when both commit."""
+    _check_natural(max_steps, "step budget")
     den = denote_base(t, fuel)
     opn = reaches_numeral(t, max_steps)
     if den.defined and opn is not None:

@@ -1,10 +1,14 @@
 """The benchmark's traced runs still find every function they wrap.
 
-``pcfbench/tracing.py`` replaces module attributes by name (for one,
-``pcfkit.scott.reduce``, whose span the ``denote`` workload sees only
-through ``check_soundness``), so a library change that renames or drops
-such a binding breaks ``--trace 1`` while the untraced run still passes.
-Each test runs one short traced round in a child, about 0.3 s.
+``pcfbench/tracing.py`` replaces module attributes by name, so a library
+change that renames or drops such a binding breaks ``--trace 1`` while
+the untraced run still passes. One such binding is
+``pcfkit.scott.reduce``: the ``denote`` workload's ``opsem.reduce`` span
+comes only from ``check_soundness``'s ``reduce(s, 1)``, and both go when
+the tracer's patch list changes (ROADMAP item 1). Each test runs one
+short traced round in a child: about 0.3 s for ``reduce`` and
+``denote``, and about 5.5 s for ``cli``, which replays ``pcf sound`` and
+the other subcommands in-process.
 """
 
 import json
@@ -17,7 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["reduce", "denote"])
+@pytest.mark.parametrize("workload", ["reduce", "denote", "cli"])
 def test_a_short_traced_run_succeeds(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "pcfbench" / "run.py"),

@@ -12,7 +12,7 @@ from pcfkit import opsem, syntax
 from pcfkit.frontend import cli, elaborate, parse
 from pcfkit.opsem import (
     Step, StepRelation, WrongType, _run_pure, reaches_numeral, reduce,
-    run_bounded, step, successors,
+    run_bounded, run_memo, step, successors,
 )
 from pcfkit.rules import CONGRUENCE_RULES, RuleName
 from pcfkit.syntax import (
@@ -225,6 +225,39 @@ def test_normal_base_terms_are_numerals_or_stuck_nonnumerals():
         final, steps = run_bounded(t, 2000)
         if steps < 2000:
             assert step(final) is None
+
+
+def test_a_step_budget_that_is_not_a_natural_is_refused():
+    # run_bounded(t, 2.5) took 3 steps, reaches_numeral(pred^3 #5, 2.5)
+    # answered 2, and a budget True ran as 1
+    t = App(Pred, App(Pred, App(Pred, numeral(5))))
+    calls = [
+        lambda k: run_bounded(t, k),
+        lambda k: run_bounded(t, k, numeral_only=True),
+        lambda k: run_memo(t, k), lambda k: reduce(t, k),
+        lambda k: reaches_numeral(t, k),
+    ]
+    for k, error in ((-1, ValueError), (2.5, TypeError), (True, TypeError)):
+        for call in calls:
+            with pytest.raises(error, match="step budget"):
+                call(k)
+
+
+def test_run_memo_hands_over_the_pairs_of_its_run():
+    # each entry c -> (nf, steps) is a pair c ~>* nf: the memo-free
+    # reference takes exactly steps from c to the normal form nf
+    terms = [(mul_term(3), 10_000), (mul_term(3), 5000),
+             (elaborate(parse(f"{ADD_SRC} #3 #3")), 2000)]
+    rng = random.Random(200)
+    terms += [(random_term(rng, Iota, depth=6), 2000) for _ in range(50)]
+    entries = 0
+    for t, k in terms:
+        final, steps, memo = run_memo(t, k)
+        assert (final, steps) == run_bounded(t, k)
+        for c, (nf, used) in memo.items():
+            assert nf.rule is None and _run_pure(c, used) == (nf, used)
+        entries += len(memo)
+    assert entries > 500
 
 
 def test_run_bounded_agrees_with_reduce():

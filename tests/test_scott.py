@@ -9,10 +9,11 @@ import pytest
 from conftest import (
     collector_off, recursive_function, recursive_programs, shallow_stack,
 )
-from pcfkit import scott
+from pcfkit import opsem, scott
 from pcfkit.frontend import elaborate, parse
 from pcfkit.lifting import BOT, leq, unit
 from pcfkit.opsem import WrongType, reaches_numeral
+from pcfkit.rules import RuleName
 from pcfkit.scott import (
     Func, Interpreter, Verdict, bottom_value, check_adequacy,
     check_semidecidability, check_soundness, denote, denote_base,
@@ -490,6 +491,45 @@ class TestSoundness:
         for _ in range(150):
             t = random_term(rng, Iota, depth=6)
             assert check_soundness(t, 600, 16).passed
+
+    def test_a_run_is_checked_to_its_end(self):
+        # add #2 #400 takes 584,628 steps and mul #5 #5 6,808,981: the
+        # check costs what the finished subterms cost, not the steps
+        add = elaborate(parse(f"{ADD} #2 #400"))
+        assert check_soundness(add, 600_000, 401) == Verdict("ok", 402)
+        mul = elaborate(parse(f"{MUL} #5 #5"))
+        assert check_soundness(mul, 10 ** 7, 21) == Verdict("ok", 25)
+
+    @pytest.mark.parametrize("rule, wrong", [
+        (RuleName.PredSucc, lambda t: t.arg),      # pred (succ n) ~> succ n
+        (RuleName.IfzZero, lambda t: t.fun.arg),   # ifz s t 0 ~> t
+    ], ids=["pred-succ", "ifz-zero"])
+    def test_a_wrong_contraction_is_a_violation(self, monkeypatch, rule,
+                                                wrong):
+        contract = opsem._contract
+        monkeypatch.setattr(
+            opsem, "_contract",
+            lambda t, r: wrong(t) if r is rule else contract(t, r))
+        rng = random.Random(200)  # criterion 4's corpus
+        found = [v for v in (check_soundness(random_term(rng, Iota, depth=6),
+                                             2000, 32) for _ in range(200))
+                 if v.status == "violation"]
+        assert found and all(" ⇝* " in v.detail for v in found)
+
+
+def test_a_step_budget_that_is_not_a_natural_is_refused():
+    # check_adequacy(t, 8, -1) reported "-1 steps reach no numeral"; the
+    # budget is refused before the denotation, so a vacuous term too
+    calls = [
+        lambda t, k: check_soundness(t, k, 8),
+        lambda t, k: check_adequacy(t, 8, k),
+        lambda t, k: check_semidecidability(t, 8, k),
+    ]
+    for k, error in ((-1, ValueError), (2.5, TypeError), (True, TypeError)):
+        for t in (CONST7, FIX_SUCC):
+            for call in calls:
+                with pytest.raises(error, match="step budget"):
+                    call(t, k)
 
 
 class TestAdequacy:
