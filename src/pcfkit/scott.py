@@ -11,26 +11,23 @@ meaning: raising the fuel can turn `bot` into a definite value, never
 change one.  The fuel reaches a term only through its `fix`
 occurrences: every other constant means the same at every fuel.
 
-So an application with no `fix` below it has one value, for every
-fuel and every `Interpreter`, and it is kept on the interned term, in
-`syntax.Term.value`: the first `Interpreter` to compute it writes it
-there, and every later one reads it and walks no further down.  The
-value is an interned `Func`, which a fresh `Interpreter` would compute
-as the same object, or a partial natural, which it would compute
-equal; it refers to no term, so the term still dies with its last
-outside reference.  A constant's value
-is not kept on it: `Succ`, `Pred` and `Ifz` live for good, and the
-caches of their values would grow with every argument ever applied.
-
 `fix f` means the least upper bound of the chain f^n(bot).  Once an
 iterate is a fixed point of f, every longer chain ends at it, so every
-higher fuel gives the same value: one `fix` loop stops there.  An
-`Interpreter` folds a term once per fuel, each fuel into its own memo,
-and keeps one shared table of the subterms known to have the same value
-at every fuel from some fuel on.  `fix g` enters it at the fuel where
-the fixed point of g was found, the applications built on it follow,
-and every higher fuel takes their values from the table instead of
-applying again.
+higher fuel gives the same value: one `fix` loop stops there.  So a
+subterm has one value at every fuel from some fuel on when no `fix` is
+below it (from fuel 0 on), or once the `fix`es below it have reached
+their fixed points.  That is a fact about the interned term, not about
+the `Interpreter` that found it, and it is kept in one table on the
+term: `syntax.Term.value` is the term's denotation at every fuel from
+`syntax.Term.since` on.  The first `Interpreter` to find it writes it
+there, every later one reads it at any fuel from ``since`` on and walks
+no further down, and a fold at a lower fuel that finds it again lowers
+``since``.  The value is an interned `Func`, which a fresh
+`Interpreter` would compute as the same object, or a partial natural,
+which it would compute equal; it refers to no term, so the term still
+dies with its last outside reference.  A constant's value is not kept
+on it: `Succ`, `Pred` and `Ifz` live for good, and the caches of their
+values would grow with every argument ever applied.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ __all__ = [
 ]
 
 _MISS = object()
-_UNSHARED = (float("inf"), None)  # the since and value of no shared term
 _ZERO = unit(0)  # one object, so Zero denotes the same at every fuel
 # the arguments at which check_soundness compares two values of a type;
 # None stands for the value itself
@@ -82,9 +78,10 @@ class Func:
     through caches outlives its `Interpreter` and carries cache hits
     across operations: clearing the pool after each operation of the
     `denote` benchmark workload made a round about 1.4x slower (see
-    ROADMAP), measured before fix-free values were kept on terms.  A
-    fix for that leak keeps that cross-Interpreter cache, the values on
-    terms, and measures again what the Func caches still add.
+    ROADMAP), measured before values were kept on terms.  A fix for
+    that leak keeps the values on terms, which already carry every
+    value known to hold from some fuel on across Interpreters, and
+    measures again what the Func caches still add.
     """
 
     __slots__ = ("tag", "args", "_cache", "__weakref__")
@@ -183,40 +180,34 @@ def _apply(f, a):
 
 class Interpreter:
     """Memoizing evaluator that computes each value once for all the
-    fuels at which it is the same.
+    fuels, and all the Interpreters, at which it is the same.
 
-    The fuel reaches a denotation only through `fix`, so a subterm with
-    no `fix` below it has one value at every fuel, kept on the term (see
-    the module docstring); the fold stops at such a subterm.  Above it,
-    each fuel has its own fold memo, from each constant and each subterm
-    with a `fix` below it to its value at that fuel.  None of these
-    values is ever kept on a term.
+    Denoting a term at a fuel returns the value kept on it when its
+    ``since`` is at most that fuel (see the module docstring), and else
+    folds it into that fuel's memo, from each constant and each subterm
+    with no value kept for that fuel to its value there; the fold stops
+    at every subterm whose kept value holds at that fuel.  The memos are
+    the only table an Interpreter has.
 
-    A subterm with a `fix` below it may also be in the shared table,
-    with ``since``, the least fuel from which its value is known to be
-    the same at every higher fuel, and that value.  The rules:
+    A fold at fuel n keeps an application's value on it by these rules,
+    where the ``since`` of a constant other than `fix` is 0 and that of
+    a `fix` infinite, since its value names its fuel:
 
-    - a `fix` is never shared: its value names its fuel;
-    - `fix g`, with g shared at this fuel or free of `fix`, is shared
-      from this fuel on when its result v is a fixed point of g, read
-      off g's cache.  This is exact: the chain reached v within the
-      fuel, and g v = v, so every longer chain stops at v;
-    - any other application is shared from the later ``since`` of its
-      operands, once both are shared or free of `fix`: the same
-      operands give the same result.
+    - `fix g`, with g's ``since`` at most n, is kept from n on when its
+      result v is a fixed point of g, read off g's cache.  This is
+      exact: the chain reached v within the fuel, and g v = v, so every
+      longer chain stops at v;
+    - any other application is kept from the later ``since`` of its
+      operands, once both are at most n: the same operands give the
+      same result.  With no `fix` below it, that is from 0 on.
 
-    Sharing starts at the fuel where the fixed point was found, not at
-    the iterate that reached it, so `_apply` reports nothing back and
-    the rules stay exact for fuels asked in any order.
-
-    Denoting a term at a fuel returns its shared value at once, or folds
-    it into that fuel's memo.  A fuel's memo starts with every value
-    shared at that fuel, and the fold goes no further down at them, so
-    a new fuel re-applies only the part of the terms above a `fix` that
-    has not reached its fixed point, and each application at most once
-    per fuel.  A value shared only after its fuel's memo was made is
-    computed again there, equal.  Until some `fix g` is shared nothing
-    is, and the fold skips the lookups.
+    The fold reaches only an application whose ``since`` is above n, so
+    a write only ever lowers ``since``.  A `fix g` is kept from the fuel
+    where the fixed point was found, not from the iterate that reached
+    it, so `_apply` reports nothing back and the rules stay exact for
+    fuels asked in any order.  A new fuel re-applies only the part of
+    the terms above a `fix` that has not reached its fixed point, and
+    each application at most once per fuel.
 
     A fuel that is not an int (a bool neither) is a TypeError, and a
     negative one a ValueError, here and so in `denote`, `denote_base`
@@ -224,30 +215,22 @@ class Interpreter:
     """
 
     def __init__(self):
-        self._memo = {}  # fuel -> {constant or term above a fix: value}
-        self._shared = {}  # term -> (since, its value from that fuel on)
+        self._memo = {}  # fuel -> {constant or term not kept: value}
         self._fuel = None  # the fuel of the fold running
 
     def denote(self, t, fuel):
         _check_natural(fuel, "fuel")
-        v = t.value
-        if v is not None:
-            return v
+        if t.since <= fuel:
+            return t.value
         if t.ty is None:
             type_of(t)  # raises with the offending subterm
-        s = self._shared.get(t)
-        if s is not None and s[0] <= fuel:
-            return s[1]
         self._fuel = fuel
         if t.tag != "app":
             return self._constant(t)
         memo = self._memo.get(fuel)
         if memo is None:
-            # the fold stops at what is shared at this fuel
-            memo = self._memo[fuel] = {
-                x: v for x, (since, v) in self._shared.items()
-                if since <= fuel}
-        return fold(t, self._constant, self._node, memo, known=True)
+            memo = self._memo[fuel] = {}
+        return fold(t, self._constant, self._node, memo, known=fuel)
 
     def denote_base(self, t, fuel):
         if t.ty is not Iota:
@@ -263,31 +246,23 @@ class Interpreter:
 
     def _node(self, x, f, a):
         """The value of application x from those of its operands, kept
-        on x when both are free of fix, and shared when the rules say."""
+        on x when the rules say."""
         v = _apply(f, a)
         fun, arg = x.fun, x.arg
-        # an operand is free of fix when its value is kept on it or it
-        # is a constant other than fix
-        fun_free = (fun.value is not None
-                    or fun.tag != "app" and fun.tag != "fix")
-        arg_free = (arg.value is not None
-                    or arg.tag != "app" and arg.tag != "fix")
-        if fun_free and arg_free:
-            x.value = v
-            return v
-        fuel, shared = self._fuel, self._shared
+        fuel = self._fuel
+        # a constant other than fix means the same at every fuel; fix
+        # keeps an infinite since
+        sa = arg.since if arg.tag == "app" or arg.tag == "fix" else 0
         if fun.tag == "fix":
             # a loop that stopped at a repeated iterate left g v = v in
             # g's cache
-            if (arg_free or shared.get(arg, _UNSHARED)[0] <= fuel) \
-                    and a._cache.get(v, _MISS) == v:
-                shared[x] = (fuel, v)
-        elif shared:
-            sf = 0 if fun_free else shared.get(fun, _UNSHARED)[0]
-            sa = 0 if arg_free else shared.get(arg, _UNSHARED)[0]
+            if sa <= fuel and a._cache.get(v, _MISS) == v:
+                x.value, x.since = v, fuel
+        else:
+            sf = fun.since if fun.tag == "app" else 0
             since = sf if sf > sa else sa
             if since <= fuel:
-                shared[x] = (since, v)
+                x.value, x.since = v, since
         return v
 
 
@@ -351,6 +326,8 @@ def check_soundness(s, max_steps, fuel):
             # s is held to eta n, its value at the full fuel
             a = start if c is s else interp.denote(c, f2)
             b = interp.denote(nf, f2)
+            if a is b:  # one value cannot disagree with itself
+                continue
             for x in _PROBES[c.ty]:
                 va, vb = (a, b) if x is None else (_apply(a, x), _apply(b, x))
                 if va.defined and vb.defined and va.value != vb.value:

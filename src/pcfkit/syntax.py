@@ -9,15 +9,19 @@ every term carries three facts computed once at construction time:
   * ``rule``     which reduction rule (if any) applies to the whole term
 
 The reduction engine and the denotational interpreter lean on these
-fields heavily; nothing in this module ever rescans a subtree. A fourth
-field belongs to ``scott`` and is set lazily:
+fields heavily; nothing in this module ever rescans a subtree. Two more
+fields belong to ``scott`` and are set lazily:
 
-  * ``value``    the denotation of an application with no ``fix`` below
-                 it, once some interpreter has computed it, else None;
-                 such a value is the same at every fuel, and a value
-                 that depends on the fuel is never kept here
+  * ``value``    the denotation of an application at every fuel from
+                 ``since`` on, once some interpreter has found it, else
+                 None
+  * ``since``    the least fuel known to give ``value``: 0 for a value
+                 that is the same at every fuel, as with no ``fix``
+                 below the term, and infinity while ``value`` is None;
+                 it only ever goes down
 
-``fold`` with ``known`` stops at a subterm whose ``value`` is set.
+``fold`` with a fuel ``known`` stops at a subterm whose ``since`` is at
+most ``known``.
 
 Terms are interned weakly, through ``weak_pool``: a plain dict from a
 term's key to a weak reference that leaves the dict when its term dies,
@@ -189,7 +193,7 @@ class Term:
     """
 
     __slots__ = ("tag", "fun", "arg", "params", "ty", "numeral", "rule",
-                 "value", "__weakref__")
+                 "value", "since", "__weakref__")
     __copy__ = __deepcopy__ = _itself
 
     def __reduce__(self):
@@ -207,6 +211,7 @@ class Term:
 # thread only.
 Term._pool, _pool_add = weak_pool()
 _pool = Term._pool
+_NEVER = float("inf")  # the since of a term with no value kept on it
 
 
 _ARROW_NN = Arrow(Iota, Iota)
@@ -290,6 +295,7 @@ def constant(tag: str, params: tuple = ()) -> Term:
     t.ty = ty_of(*params)
     t.numeral = 0 if tag == "zero" else None
     t.rule = t.value = None
+    t.since = _NEVER
     return _pool_add((tag, params), t)
 
 
@@ -342,6 +348,7 @@ def App(fun: Term, arg: Term) -> Term:
         t.numeral = None
     t.rule = _app_rule(fun, arg)
     t.value = None
+    t.since = _NEVER
     return _pool_add(key, t)
 
 
@@ -380,6 +387,7 @@ def _unroll(f: Term, t: Term, k: int) -> Term:
         u.numeral = num
         u.rule = rule
         u.value = None
+        u.since = _NEVER
         cur = add((f, cur), u)
     return cur
 
@@ -415,7 +423,7 @@ def numeral(n: int) -> Term:
 _MISS = object()
 
 
-def fold(t: Term, leaf, node, memo=None, known=False):
+def fold(t: Term, leaf, node, memo=None, known=-1):
     """Compute a value for t bottom-up over its DAG of distinct subterms.
 
     ``leaf(c)`` gives the value of a constant c and ``node(x, f_val,
@@ -425,10 +433,11 @@ def fold(t: Term, leaf, node, memo=None, known=False):
     ``memo`` under the term itself; pass a dict to keep the values
     across calls.
 
-    With ``known``, a subterm whose ``value`` slot is set has its value
-    there: the walk reads it and goes no further down. ``node`` may set
-    the slot of the application it is given, and a value it puts there
-    is not also stored in ``memo``.
+    ``known`` is a fuel: a subterm whose ``since`` is at most ``known``
+    has its value in its ``value`` slot, and the walk reads it there and
+    goes no further down. The default, -1, reads no slot. ``node`` may
+    set the slots of the application it is given, and a value it keeps
+    there for ``known`` is not also stored in ``memo``.
     """
     if memo is None:
         memo = {}
@@ -437,31 +446,26 @@ def fold(t: Term, leaf, node, memo=None, known=False):
     stack = [t]
     while stack:
         cur = stack[-1]
-        if known and cur.value is not None or cur in memo:
+        if cur.since <= known or cur in memo:
             stack.pop()
         elif cur.tag != "app":
             memo[cur] = leaf(cur)
             stack.pop()
         else:
-            fv = cur.fun.value if known else None
-            if fv is None:
-                fv = memo.get(cur.fun, _MISS)
-            av = cur.arg.value if known else None
-            if av is None:
-                av = memo.get(cur.arg, _MISS)
+            fun, arg = cur.fun, cur.arg
+            fv = fun.value if fun.since <= known else memo.get(fun, _MISS)
+            av = arg.value if arg.since <= known else memo.get(arg, _MISS)
             if fv is not _MISS and av is not _MISS:
                 v = node(cur, fv, av)
-                if not known or cur.value is None:
+                if cur.since > known:
                     memo[cur] = v
                 stack.pop()
             else:
                 if av is _MISS:
-                    stack.append(cur.arg)
+                    stack.append(arg)
                 if fv is _MISS:
-                    stack.append(cur.fun)
-    if known and (v := t.value) is not None:
-        return v
-    return memo[t]
+                    stack.append(fun)
+    return t.value if t.since <= known else memo[t]
 
 
 def term_size(t: Term) -> int:

@@ -185,9 +185,10 @@ def _subterms(t):
 
 
 def _forget_values(terms):
-    """Clear the value that scott keeps on each of these terms."""
+    """Clear the value, and the fuel it holds from, that scott keeps on
+    each of these terms."""
     for x in terms:
-        x.value = None
+        x.value, x.since = None, float("inf")
 
 
 def _fuzz_terms(seed, count):
@@ -332,7 +333,7 @@ def _base_fixes_only(t):
 
 def test_a_ladder_stops_applying_past_the_fixed_point(monkeypatch):
     # a chain of partial naturals repeats by its second iterate, so each
-    # fix of these terms is shared from fuel 2 at the latest
+    # fix of these terms is kept on it from fuel 2 at the latest
     counter = _CountApply(monkeypatch)
     terms = [t for t in _fuzz_terms(92, 300) if _base_fixes_only(t)]
     assert len(terms) >= 10
@@ -349,9 +350,9 @@ def test_a_ladder_stops_applying_past_the_fixed_point(monkeypatch):
 
 def test_a_shared_subterm_is_not_applied_again(monkeypatch):
     # add's arrow-type fix never reaches a fixed point, so the term is
-    # folded at each fuel; its base-type fix z. 7 is shared from fuel 2
-    # at the latest (1 if k 7 was applied to 7 before), and the fold of
-    # each higher fuel takes it from the shared table
+    # folded at each fuel; its base-type fix z. 7 is kept on the term
+    # from fuel 2 at the latest (1 if k 7 was applied to 7 before), and
+    # the fold of each higher fuel reads it there
     calls = []
     apply = scott._apply
 
@@ -374,7 +375,7 @@ def test_a_shared_subterm_is_not_applied_again(monkeypatch):
 
 def test_a_ladder_calls_denote_at_every_fuel(monkeypatch):
     # a tracer that wraps Interpreter.denote sees one call per fuel, also
-    # once the value is shared
+    # once the value is kept on the term
     fuels, denote_ = [], Interpreter.denote
 
     def counted(self, t, fuel):
@@ -386,6 +387,63 @@ def test_a_ladder_calls_denote_at_every_fuel(monkeypatch):
     values = [interp.denote_base(CONST7, fuel) for fuel in range(65)]
     assert fuels == list(range(65))
     assert all(v is values[2] for v in values[2:])
+
+
+def test_a_value_kept_on_the_term_serves_every_interpreter(monkeypatch):
+    # a ladder over fix z. 7 keeps 7 on the term from the fuel where k 7
+    # was found to send 7 to 7: 2, or 1 if k 7 was applied to 7 before.
+    # From there on a fresh Interpreter reads it and applies nothing;
+    # below it one folds, and at fuel 1 it finds the fixed point again
+    # and lowers the fuel the value is kept from
+    counter = _CountApply(monkeypatch)
+    _forget_values(_subterms(CONST7))
+    ladder = Interpreter()
+    for fuel in range(65):
+        ladder.denote_base(CONST7, fuel)
+    since, v = CONST7.since, CONST7.value
+    assert since in (1, 2) and v == unit(7)
+    counter.calls = 0
+    for fuel in range(since, 65):
+        assert Interpreter().denote_base(CONST7, fuel) is v
+    assert counter.calls == 0
+    for fuel in reversed(range(since)):
+        counter.calls = 0
+        assert Interpreter().denote_base(CONST7, fuel) == (
+            unit(7) if fuel else BOT)
+        assert counter.calls > 0
+    assert (CONST7.since, CONST7.value) == (1, v)
+
+
+def test_kept_values_hold_from_their_fuel_on():
+    # after ladders by several Interpreters, each in its own shuffled
+    # order, the value kept on each subterm is what a fresh Interpreter
+    # computes with no value kept below it, at the fuel it is kept from,
+    # one above and at 64
+    terms = _fuzz_terms(97, 60) + _recursive_corpus()
+    subterms = {x for t in terms for x in _subterms(t)}
+    _forget_values(subterms)
+    rng = random.Random(98)
+    for _ in range(3):
+        order = [(t, f) for t in terms for f in range(65)]
+        rng.shuffle(order)
+        interp = Interpreter()
+        for t, f in order:
+            interp.denote(t, f)
+    kept = {x: (x.since, x.value) for x in subterms if x.value is not None}
+    assert sum(since > 0 for since, _ in kept.values()) >= 50
+    for x, (since, v) in kept.items():
+        below = _subterms(x)
+        for fuel in (since, since + 1, 64):
+            _forget_values(below)
+            assert _observe(denote(x, fuel)) == _observe(v), (x, fuel)
+
+
+def test_an_unrolled_chain_denotes():
+    # run_bounded builds succ^3 (fix succ) through syntax._unroll, whose
+    # terms past the first never go through App
+    final, steps = opsem.run_bounded(FIX_SUCC, 3)
+    assert steps == 3 and final.arg.arg.arg is FIX_SUCC
+    assert denote_base(final, 3) == BOT
 
 
 def test_logical_relation_at_arrow_type():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import collector_off, shallow_stack
 from pcfkit.syntax import (
     _CONSTANTS, App, Arrow, Fix, Ifz, Iota, K, Pred, Record, S, Succ, Term,
-    TypeMismatch, Zero, constant, fold, numeral, parse_term_sexp,
+    TypeMismatch, Zero, _unroll, constant, fold, numeral, parse_term_sexp,
     parse_type_sexp, random_term, random_type, term_size, term_to_sexp,
     type_of, type_surface, type_to_sexp, SexpError,
 )
@@ -177,6 +177,20 @@ def test_a_dropped_term_leaves_the_pool_at_once():
         assert build() is t
         del t
         assert len(Term._pool) == before
+
+
+def test_every_construction_path_sets_every_slot():
+    # a slot that one path forgets fails only on terms built there: the
+    # chain of _unroll past its first term never goes through App
+    slots = [name for name in Term.__slots__ if name != "__weakref__"]
+    ifz = App(App(Ifz, numeral(4321)), numeral(1234))
+    chain = _unroll(ifz, App(Fix(Iota), ifz), 3)
+    built = [constant("k", (NN, Iota)), App(Pred, numeral(4321)), chain,
+             chain.arg, chain.arg.arg]
+    for t in built:
+        for name in slots:
+            getattr(t, name)  # AttributeError if the slot was never set
+        assert (t.value, t.since) == (None, float("inf"))
 
 
 def test_type_of_is_deterministic_on_fuzzed_terms():
