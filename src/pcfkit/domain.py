@@ -1,10 +1,10 @@
 """Finite posets, pointed dcpos, and least fixed points of monotone maps.
 
-Carriers are index sets 0..size-1 and the order is a full boolean matrix,
-so every classical side condition (reflexivity, directedness, existence
-of suprema) is checked by exhaustive scan.  A poset keeps each row as
-an int bitmask (its ``rows``); that keeps the constructor checks usable
-even for function-space posets with a few hundred points.
+Carriers are index sets 0..size-1, and an order is one int bitmask per
+element, its ``rows``: bit j of ``rows[i]`` is set when i is below j.
+Posets are built from their rows, exponentials included, and every
+classical side condition (reflexivity, directedness, existence of
+suprema) is checked by exhaustive scan over them.
 """
 
 from __future__ import annotations
@@ -44,26 +44,24 @@ def _bits(mask):
 
 
 class FinitePoset(namedtuple("FinitePoset", "size rows"), Record):
-    """A finite poset given by its full order matrix.
+    """A finite poset given by its rows.
 
-    ``leq[i][j]`` is truthy when element i is below element j.  The three
-    poset laws are verified exhaustively at construction time (``_make``
-    and ``_replace`` skip the checks).
+    ``rows[i]`` is an int whose bit j is set when element i is below
+    element j.  A row that is not an int (a bool is not), is negative or
+    has a bit outside the carrier is refused, and the three poset laws
+    are verified exhaustively at construction time (``_make`` and
+    ``_replace`` skip the checks).
     """
 
     __slots__ = ()
 
-    def __new__(cls, leq):
-        n = len(leq)
-        rows = []
-        for row in leq:
-            if len(row) != n:
-                raise ValueError("order matrix must be square")
-            m = 0
-            for j, bit in enumerate(row):
-                if bit:
-                    m |= 1 << j
-            rows.append(m)
+    def __new__(cls, rows):
+        rows = tuple(rows)
+        n = len(rows)
+        for i, r in enumerate(rows):
+            if type(r) is not int or r < 0 or r >> n:
+                raise ValueError(
+                    f"row {i} must be a bitmask of the {n} elements, got {r!r}")
         for i in range(n):
             if not rows[i] >> i & 1:
                 raise ValueError(f"not reflexive at element {i}")
@@ -77,7 +75,7 @@ class FinitePoset(namedtuple("FinitePoset", "size rows"), Record):
                 reach |= rows[j]
             if reach & ~rows[i]:
                 raise ValueError(f"not transitive below element {i}")
-        return super().__new__(cls, n, tuple(rows))
+        return super().__new__(cls, n, rows)
 
     def __reduce__(self):  # pickle and copy rebuild from the fields
         return self._make, (tuple(self),)
@@ -190,12 +188,17 @@ def monotone_tables(d, e):
 
 
 def exponential(d, e):
-    """The dcpo of all monotone maps d -> e under the pointwise order."""
+    """The dcpo of all monotone maps d -> e under the pointwise order.
+
+    Carrier index i stands for ``tables[i]``.  TooLarge once the
+    candidate tables pass 10**6, or the monotone ones 10**4.
+    """
     if e.size ** d.size > 10 ** 6:
         raise TooLarge(
             f"{e.size}^{d.size} candidate tables exceed the enumeration guard")
-    tables = tuple(monotone_tables(d, e))
-    m = len(tables)
+    tables = tuple(itertools.islice(monotone_tables(d, e), 10 ** 4 + 1))
+    if len(tables) > 10 ** 4:
+        raise TooLarge("over 10**4 monotone tables exceed the enumeration guard")
     # per argument x and value v, the set of tables g with v <= g(x)
     ge = [[0] * e.size for _ in range(d.size)]
     erows = e.poset.rows
@@ -207,16 +210,15 @@ def exponential(d, e):
             for v in range(e.size):
                 if erows[v] >> gx & 1:
                     col[v] |= bit
-    full = (1 << m) - 1
+    full = (1 << len(tables)) - 1
     rows = []
     for f in tables:
         r = full
         for x in range(d.size):
             r &= ge[x][f[x]]
         rows.append(r)
-    leq = [[rows[i] >> j & 1 for j in range(m)] for i in range(m)]
     bottom = tables.index((e.bottom,) * d.size)
-    return FiniteDcpoBot(FinitePoset(leq), bottom, tables=tables)
+    return FiniteDcpoBot(FinitePoset(rows), bottom, tables=tables)
 
 
 def least_fixed_point(f):
@@ -256,53 +258,44 @@ def preserves_directed_lubs(d, e, table):
 
 def chain(n):
     """The n-point linear order 0 < 1 < ... < n-1 with bottom 0."""
-    leq = [[1 if i <= j else 0 for j in range(n)] for i in range(n)]
-    return FiniteDcpoBot(FinitePoset(leq), 0)
+    full = (1 << n) - 1
+    return FiniteDcpoBot(FinitePoset(full >> i << i for i in range(n)), 0)
 
 
 def diamond():
     """Bottom 0, incomparable 1 and 2, top 3."""
-    leq = [
-        [1, 1, 1, 1],
-        [0, 1, 0, 1],
-        [0, 0, 1, 1],
-        [0, 0, 0, 1],
-    ]
-    return FiniteDcpoBot(FinitePoset(leq), 0)
+    return FiniteDcpoBot(FinitePoset((0b1111, 0b1010, 0b1100, 0b1000)), 0)
 
 
 def flat(width):
     """Bottom 0 under `width` pairwise-incomparable points."""
     n = width + 1
-    leq = [[1 if i == j or i == 0 else 0 for j in range(n)] for i in range(n)]
-    return FiniteDcpoBot(FinitePoset(leq), 0)
+    rows = ((1 << n) - 1 if i == 0 else 1 << i for i in range(n))
+    return FiniteDcpoBot(FinitePoset(rows), 0)
 
 
 def random_dcpo(rng, size):
-    """A random pointed dcpo on `size` elements.
+    """A random pointed dcpo on `size` elements, at least one.
 
-    Draws a random relation, closes it reflexively and transitively, and
-    rejects draws that break antisymmetry or lack a least element.
+    Draws a random relation into rows, closes it reflexively and
+    transitively (Warshall's algorithm on bitmasks), and rejects draws
+    that break antisymmetry or lack a least element.
     """
+    if size < 1:
+        raise ValueError(f"a pointed dcpo needs an element, got size {size}")
     p = 0.9 / size if size > 1 else 0.0
+    full = (1 << size) - 1
     while True:
-        rel = [[i == j for j in range(size)] for i in range(size)]
+        rows = [1 << i for i in range(size)]
         for i in range(size):
             for j in range(size):
                 if i != j and rng.random() < p:
-                    rel[i][j] = True
+                    rows[i] |= 1 << j
         for k in range(size):
             for i in range(size):
-                if rel[i][k]:
-                    for j in range(size):
-                        if rel[k][j]:
-                            rel[i][j] = True
-        if any(rel[i][j] and rel[j][i]
-               for i in range(size) for j in range(i + 1, size)):
+                if rows[i] >> k & 1:
+                    rows[i] |= rows[k]
+        # in a preorder, i <= j <= i exactly when i and j share a row
+        if len(set(rows)) < size or full not in rows:
             continue
-        bottoms = [i for i in range(size)
-                   if all(rel[i][j] for j in range(size))]
-        if not bottoms:
-            continue
-        return FiniteDcpoBot(FinitePoset(rel), bottoms[0])
-
+        return FiniteDcpoBot(FinitePoset(rows), rows.index(full))

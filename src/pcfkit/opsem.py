@@ -74,7 +74,7 @@ from collections import namedtuple
 
 from . import syntax
 from .rules import CONGRUENCE_RULES, RuleName
-from .syntax import App, Iota, Term, WrongType
+from .syntax import App, Iota, Term, WrongType, _check_natural
 
 __all__ = [
     "Step", "WrongType", "step", "successors", "reduce", "run_bounded",
@@ -291,14 +291,6 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
 def engine_name() -> str:
     """The name of the reduction engine, kept for callers that record it."""
     return "pure"
-
-
-def _check_natural(n, what):
-    """Refuse n unless it is an int (a bool is not) and not negative."""
-    if type(n) is not int:
-        raise TypeError(f"{what} must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"{what} must be a natural, got {n}")
 
 
 def run_memo(t: Term, max_steps: int, *, numeral_only=False):

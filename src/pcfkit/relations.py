@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 
-from .syntax import Record
+from .syntax import Record, _check_natural
 
 __all__ = [
     "FiniteRelation", "decide_k_step",
@@ -24,9 +24,10 @@ def decide_k_step(r, x, y, k: int) -> bool:
     Follows the recursion that justifies decidability: at k = 0 the
     closure is equality; otherwise take the unique strict step from x
     (failing if there is none) and recur. So this walks exactly k steps.
-    A negative k is a ValueError.
+    A k that is not an int (a bool neither) is a TypeError, and a
+    negative one a ValueError.
     """
-    _check_steps(k)
+    _check_natural(k, "step bound")
     for _ in range(k):
         x = r.next(x)
         if x is None:
@@ -38,9 +39,10 @@ def decide_reaches_within(r, x, y, k: int) -> bool:
     """Whether some j <= k has y reachable from x in j steps.
 
     The bounded form of the search that realizes membership in the full
-    reflexive-transitive closure. A negative k is a ValueError.
+    reflexive-transitive closure. A k that is not an int (a bool
+    neither) is a TypeError, and a negative one a ValueError.
     """
-    _check_steps(k)
+    _check_natural(k, "step bound")
     for j in range(k + 1):
         if r.eq(x, y):
             return True
@@ -49,11 +51,6 @@ def decide_reaches_within(r, x, y, k: int) -> bool:
             if x is None:
                 return False
     return False
-
-
-def _check_steps(k):
-    if k < 0:
-        raise ValueError(f"step bound must be a natural, got {k}")
 
 
 class FiniteRelation(namedtuple("FiniteRelation", "node_count edges"),

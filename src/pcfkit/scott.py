@@ -39,9 +39,10 @@ from .lifting import BOT, kleisli, fmap, render, unit
 # install fails without it; the `opsem.reduce` span of the `denote`
 # workload comes only from check_soundness's `reduce(s, 1)`. Both go
 # when the tracer's patch list changes (ROADMAP item 1).
-from .opsem import _check_natural, reaches_numeral, reduce, run_memo
+from .opsem import reaches_numeral, reduce, run_memo
 from .syntax import (
-    Arrow, Iota, Record, WrongType, fold, type_of, term_to_sexp, weak_pool,
+    Arrow, Iota, Record, WrongType, _check_natural, fold, type_of,
+    term_to_sexp, weak_pool,
 )
 
 __all__ = [
@@ -76,12 +77,11 @@ class Func:
 
     Pool keys hold their arguments, so a Func reachable from them
     through caches outlives its `Interpreter` and carries cache hits
-    across operations: clearing the pool after each operation of the
-    `denote` benchmark workload made a round about 1.4x slower (see
-    ROADMAP), measured before values were kept on terms.  A fix for
-    that leak keeps the values on terms, which already carry every
-    value known to hold from some fuel on across Interpreters, and
-    measures again what the Func caches still add.
+    across operations.  With values kept on terms that still pays: one
+    pool per `Interpreter` in its place ran the `denote` benchmark
+    workload at a third of the operations a second, with a peak RSS
+    about 45% higher (see ROADMAP item 3).  A fix for that leak must
+    keep the hits across Interpreters.
     """
 
     __slots__ = ("tag", "args", "_cache", "__weakref__")

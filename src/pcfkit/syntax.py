@@ -143,6 +143,14 @@ class Record(tuple):
     __hash__ = tuple.__hash__
 
 
+def _check_natural(n, what):
+    """Refuse n unless it is an int (a bool is not) and not negative."""
+    if type(n) is not int:
+        raise TypeError(f"{what} must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{what} must be a natural, got {n}")
+
+
 class _PoolRef(weakref.ref):
     """A weak reference that carries its key in the pool that holds it.
 

@@ -11,7 +11,7 @@ from pcfkit.domain import (
     preserves_directed_lubs, random_dcpo,
 )
 
-ANTICHAIN2 = FinitePoset([[1, 0], [0, 1]])
+ANTICHAIN2 = FinitePoset([0b01, 0b10])
 
 
 def iterate_from_bottom(d, table):
@@ -24,19 +24,25 @@ def iterate_from_bottom(d, table):
 class TestPosetLaws:
     def test_reflexivity_required(self):
         with pytest.raises(ValueError, match="reflexive"):
-            FinitePoset([[0]])
+            FinitePoset([0])
 
     def test_antisymmetry_required(self):
         with pytest.raises(ValueError, match="antisymmetry"):
-            FinitePoset([[1, 1], [1, 1]])
+            FinitePoset([0b11, 0b11])
 
     def test_transitivity_required(self):
         with pytest.raises(ValueError, match="transitive"):
-            FinitePoset([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+            FinitePoset([0b011, 0b110, 0b100])
 
-    def test_square_required(self):
-        with pytest.raises(ValueError, match="square"):
-            FinitePoset([[1, 0], [0]])
+    def test_rows_must_be_bitmasks_of_the_carrier(self):
+        for bad in ([0b01, 0b110], [-1, 0b10], [1, True], [1, 2.0], [[1]]):
+            with pytest.raises(ValueError, match="bitmask"):
+                FinitePoset(bad)
+
+    def test_fixture_rows(self):
+        assert chain(3).poset.rows == (0b111, 0b110, 0b100)
+        assert flat(2).poset.rows == (0b111, 0b010, 0b100)
+        assert diamond().poset.rows == (0b1111, 0b1010, 0b1100, 0b1000)
 
     def test_dcpo_needs_least_bottom(self):
         p = flat(2).poset
@@ -120,6 +126,29 @@ class TestExponential:
     def test_guard(self):
         with pytest.raises(TooLarge):
             exponential(chain(7), chain(10))
+        # 7**7 candidates pass the first guard; 117,655 are monotone
+        with pytest.raises(TooLarge, match="monotone"):
+            exponential(flat(6), flat(6))
+
+    def test_largest_flat_square_under_the_guard(self):
+        # 0.6 s with the rows handed over; an m x m matrix on the way
+        # would take about 18 s and 0.5 GB
+        d = flat(5)
+        e = exponential(d, d)
+        assert e.size == 7781
+        assert e.tables[e.bottom] == (d.bottom,) * d.size
+
+    def test_order_is_pointwise_on_random_pairs(self):
+        rng = random.Random(64)
+        pool = [random_dcpo(rng, rng.randrange(1, 5)) for _ in range(30)]
+        for _ in range(60):
+            d, tgt = rng.choice(pool), rng.choice(pool)
+            e = exponential(d, tgt)
+            assert e.tables == tuple(monotone_tables(d, tgt))
+            for i, f in enumerate(e.tables):
+                for j, g in enumerate(e.tables):
+                    pointwise = all(tgt.le(f[x], g[x]) for x in range(d.size))
+                    assert e.le(i, j) == pointwise
 
     def test_valid_over_fixture_pairs(self):
         fixtures = [chain(1), chain(2), chain(3), chain(4), diamond(), flat(2)]
@@ -217,3 +246,8 @@ class TestCorpusGenerator:
             for x in range(d.size):
                 assert d.le(d.bottom, x)
 
+    def test_no_element_is_refused(self):
+        # with no bottom to find, the rejection loop would draw for ever
+        for size in (0, -1):
+            with pytest.raises(ValueError, match="needs an element"):
+                random_dcpo(random.Random(1), size)

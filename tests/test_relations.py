@@ -50,6 +50,10 @@ def test_a_negative_step_bound_is_refused():
         for k in (-1, -5):
             with pytest.raises(ValueError, match="step bound"):
                 decide(r, 0, 0, k)
+        # True would run as 1 step, and 2.5 fail inside range
+        for k in (True, 2.5):
+            with pytest.raises(TypeError, match="step bound"):
+                decide(r, 0, 0, k)
 
 
 def test_pcf_step_relation_one_step():

@@ -325,7 +325,7 @@ def test_value_records_are_type_exact_and_frozen():
         with pytest.raises(AttributeError):
             setattr(rec, rec._fields[0], None)
     with pytest.raises(ValueError, match="antisymmetry"):
-        FinitePoset([[1, 1], [1, 1]])
+        FinitePoset([0b11, 0b11])
     with pytest.raises(ValueError, match="below every"):
         FiniteDcpoBot(d.poset, 1)
     with pytest.raises(ValueError, match="order preserving"):
