@@ -13,6 +13,18 @@ is a fresh ``_run_pure`` run with a budget of 1 that starts at the
 root, so it costs O(d) for a redex d deep: ``reduce(fix succ, n)`` is
 quadratic in n.
 
+The engine builds only the terms a run keeps. Its focus is an interned
+term or a pending application held as its two parts: the ``s`` rule's
+``f t (g t)``, the ``f (fix f)`` of the fix rule, and the spine a memo
+splice or a frame pop gives. A pending focus that steps gets its rule
+from ``syntax._app_rule``, and the engine descends into a part or
+contracts from the parts, so it goes from one contractum to the next
+redex without plugging it back into a term (refocusing, Danvy and
+Nielsen 2004). The focus is interned only when it is a normal form or
+the budget is used up, because a frame pop, a memo entry or the return
+needs the term; the fix rule interns ``fix f``, which ``f (fix f)`` holds.
+In ``add 200 200`` that halves the terms built, with the same steps.
+
 The relation is call-by-name, so a run can reduce the same interned
 subterm to normal form many times over (the benchmark's ``mul 4 4``
 takes 168,861 steps). Every root redex has a head in normal form, so a
@@ -49,7 +61,9 @@ when ``fix f`` would unroll for the rest of the budget. A subterm met
 again while it is being reduced is a black hole in Launchbury's sense
 (1993, "A natural semantics for lazy evaluation"): its normal form
 would depend on itself, so the full run would use the whole budget and
-end at a term that still steps. The check is sound but not complete: a
+end at a term that still steps. A pending focus is checked by looking
+its parts up in the pool, which builds nothing: a marked term is a memo
+key, so it is alive and pooled. The check is sound but not complete: a
 loop whose terms keep growing, such as
 ``(fix \\g:nat -> nat. \\n:nat. g (succ n)) #0``, meets no subterm again
 and runs until its budget is used up.
@@ -58,13 +72,13 @@ and runs until its budget is used up.
 and leaves it as it found it, also when the run raises. This is safe
 because the engine builds only acyclic data: an interned term points
 only at terms built before it, and the pool keys and weak references,
-the zipper's frame tuples and the memo entries point only at terms.
-Reference counting alone frees all of it, so a collection during the
-run would scan the new objects and find nothing to free. ``step`` and
-``reduce`` leave the collector alone, so that no pause has to last
-across a return to their caller between steps. The collector's switch
-is process-wide, one more reason the engine is single-threaded, as
-interning is.
+the zipper's frame tuples, the pending parts and the memo entries point
+only at terms. Reference counting alone frees all of it, so a
+collection during the run would scan the new objects and find nothing
+to free. ``step`` and ``reduce`` leave the collector alone, so that no
+pause has to last across a return to their caller between steps. The
+collector's switch is process-wide, one more reason the engine is
+single-threaded, as interning is.
 """
 
 from __future__ import annotations
@@ -74,7 +88,9 @@ from collections import namedtuple
 
 from . import syntax
 from .rules import CONGRUENCE_RULES, RuleName
-from .syntax import App, Iota, Term, WrongType, _check_natural
+from .syntax import (
+    App, Iota, Term, WrongType, _app_rule, _check_natural, _pooled, type_of,
+)
 
 __all__ = [
     "Step", "WrongType", "step", "successors", "reduce", "run_bounded",
@@ -88,15 +104,16 @@ class Step(namedtuple("Step", "next rule"), syntax.Record):
 
 _AL = RuleName.AppLeft
 _FIX = RuleName.FixRule
+_S = RuleName.SRule
 # congruence rules that step inside the argument
 _INTO_ARG = CONGRUENCE_RULES - {_AL}
 # the memo value of a subterm the zipper is reducing in a numeral-only run
 _BUSY = object()
 
 
-def _contract(t, r):
-    """Apply a root-level (non-congruence) rule to t."""
-    f, a = t.fun, t.arg
+def _contract(f, a, r):
+    """Apply a root rule other than s and fix to App(f, a), from its
+    parts."""
     if r is RuleName.PredZero:
         return a                                   # pred 0 ~> 0
     if r is RuleName.PredSucc:
@@ -107,10 +124,6 @@ def _contract(t, r):
         return f.arg                               # successor branch
     if r is RuleName.KRule:
         return f.arg                               # k s t ~> s
-    if r is RuleName.SRule:
-        return App(App(f.fun.arg, a), App(f.arg, a))
-    if r is RuleName.FixRule:
-        return App(a, t)                           # fix f ~> f (fix f)
     raise AssertionError(r)
 
 
@@ -194,6 +207,18 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
     reduce take each step as a fresh run from the root with a budget of
     1, without a memo.
 
+    The focus is an interned term, or a pending application held as its
+    two parts ``fun`` and ``arg`` (then ``cur`` is None): the ``s``
+    rule's ``f t (g t)``, the ``f (fix f)`` of the fix rule, and the
+    spine a memo splice or a frame pop gives. Its rule comes from
+    ``syntax._app_rule(fun, arg)``; a congruence rule descends into a
+    part and a root rule contracts from the parts, so a pending focus
+    that steps is never built. It is interned only where the run keeps
+    it: at a normal form or an exhausted budget, because a frame pop,
+    a memo entry or the return needs the term. The fix rule interns
+    ``fix f`` once, since ``f (fix f)`` and ``syntax._unroll`` both
+    hold it.
+
     ``memo``, when given, maps an interned subterm to (normal form,
     steps). Every root redex has a head in normal form, so a subterm
     the zipper enters through a congruence rule is reduced to normal
@@ -225,41 +250,57 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
     and each subterm it enters through a congruence rule, as in progress
     in the memo; a frame that pops on a normal form replaces the mark
     with the usual entry. It returns ``(None, max_steps)`` at once when
-    the term it reaches after a contraction, a memo splice or a frame
+    the focus it reaches after a contraction, a memo splice or a frame
     rebuild, or a child it is about to enter, is marked, and when the
-    fix shortcut is about to build ``f^k (fix f)``. This is exact: such
-    a term X was reached from the marked one in at least one step
-    (a proper subterm cannot equal its whole), and by the invariant
-    above the steps X takes to its normal form are at least one more
-    than its own, so X has none and the full run ends with the budget
-    used up, at a term that still steps.
+    fix shortcut is about to build ``f^k (fix f)``. A pending focus is
+    looked up in the pool with ``syntax._pooled``, which builds nothing:
+    a marked term is a memo key, so it is alive and pooled, and a pair
+    with no pooled term cannot be marked. This is exact: such a term X
+    was reached from the marked one in at least one step (a proper
+    subterm cannot equal its whole), and by the invariant above the
+    steps X takes to its normal form are at least one more than its
+    own, so X has none and the full run ends with the budget used up,
+    at a term that still steps.
     """
     cur = t
+    fun = arg = None  # the parts of a pending focus, when cur is None
     frames = []
     steps = 0
     if numeral_only:
         memo[t] = _BUSY
     while True:
-        # past the start, cur was reached in at least one step from each
-        # subterm marked in progress, so if it is one of them that one
-        # never reaches a normal form
-        if numeral_only and steps and memo.get(cur) is _BUSY:
-            return None, max_steps
-        r = cur.rule
+        # past the start, the focus was reached in at least one step
+        # from each subterm marked in progress, so if it is one of them
+        # that one never reaches a normal form
+        if cur is None:
+            r = _app_rule(fun, arg)
+            if numeral_only and memo.get(_pooled(fun, arg)) is _BUSY:
+                return None, max_steps
+        else:
+            if numeral_only and steps and memo.get(cur) is _BUSY:
+                return None, max_steps
+            r = cur.rule
+            fun, arg = cur.fun, cur.arg
         if r is None or steps >= max_steps:
             # rebuild the spine one frame up; done at the root
+            if cur is None:
+                cur = App(fun, arg)
             if not frames:
                 return cur, steps
             other, cur_is_fun, child, entry = frames.pop()
             if r is None and memo is not None:
                 memo[child] = (cur, steps - entry)
-            cur = App(cur, other) if cur_is_fun else App(other, cur)
+            if cur_is_fun:
+                fun, arg = cur, other
+            else:
+                fun, arg = other, cur
+            cur = None
             continue
         while r in CONGRUENCE_RULES:
             if r is _AL:
-                child, other, cur_is_fun = cur.fun, cur.arg, True
+                child, other, cur_is_fun = fun, arg, True
             else:
-                child, other, cur_is_fun = cur.arg, cur.fun, False
+                child, other, cur_is_fun = arg, fun, False
             if memo is not None:
                 hit = memo.get(child)
                 if hit is _BUSY:
@@ -267,25 +308,40 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
                 if hit is not None and steps + hit[1] <= max_steps:
                     nf, used = hit
                     steps += used
-                    cur = App(nf, other) if cur_is_fun else App(other, nf)
+                    if cur_is_fun:
+                        fun, arg = nf, other
+                    else:
+                        fun, arg = other, nf
+                    cur = None
                     break
                 if numeral_only:
                     memo[child] = _BUSY
             frames.append((other, cur_is_fun, child, steps))
             cur = child
+            fun, arg = cur.fun, cur.arg
             r = cur.rule
         else:
             # no memo hit on the way down: r contracts a root redex
-            if r is _FIX and syntax._app_rule(cur.arg, cur) in _INTO_ARG:
-                # f (fix f) steps inside fix f, so every step left
-                # unrolls it once more: the budget runs out here
-                if numeral_only:
-                    return None, max_steps
-                cur = syntax._unroll(cur.arg, cur, max_steps - steps)
-                steps = max_steps
+            if r is _FIX:
+                # fix f, interned once: f (fix f) and the unrolling hold it
+                fx = App(fun, arg) if cur is None else cur
+                if _app_rule(arg, fx) in _INTO_ARG:
+                    # f (fix f) steps inside fix f, so every step left
+                    # unrolls it once more: the budget runs out here
+                    if numeral_only:
+                        return None, max_steps
+                    cur = syntax._unroll(arg, fx, max_steps - steps)
+                    steps = max_steps
+                else:
+                    steps += 1
+                    fun, arg, cur = arg, fx, None
+            elif r is _S:
+                # s f g t ~> f t (g t), pending
+                steps += 1
+                fun, arg, cur = App(fun.fun.arg, arg), App(fun.arg, arg), None
             else:
                 steps += 1
-                cur = _contract(cur, r)
+                cur = _contract(fun, arg, r)
 
 
 def engine_name() -> str:
@@ -352,8 +408,12 @@ def reaches_numeral(t: Term, k: int):
     Runs run_bounded with ``numeral_only``, so a run that re-enters a
     subterm it is still reducing, or reaches a ``fix f`` that would
     unroll for the rest of the budget, answers None at once instead of
-    after k steps.
+    after k steps. An ill-typed t is a TypeMismatch that names the
+    offending application, as in scott.denote, and a well-typed t of
+    arrow type a WrongType.
     """
+    if t.ty is None:
+        type_of(t)  # raises with the offending subterm
     if t.ty is not Iota:
         raise WrongType(f"reaches_numeral needs a base-type term, got {t.ty}")
     final, _ = run_bounded(t, k, numeral_only=True)

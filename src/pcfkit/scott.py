@@ -233,6 +233,8 @@ class Interpreter:
         return fold(t, self._constant, self._node, memo, known=fuel)
 
     def denote_base(self, t, fuel):
+        if t.ty is None:
+            type_of(t)  # raises with the offending subterm
         if t.ty is not Iota:
             raise WrongType(f"denote_base needs a base-type term, got {t.ty}")
         return self.denote(t, fuel)

@@ -30,9 +30,11 @@ every term: ``App`` interns an application itself, in one call, under
 the key ``(fun, arg)``, and ``constant`` interns a constant under
 ``(tag, params)``. The engine's fix shortcut builds a chain
 ``f^k (fix f)`` through ``_unroll``, which enters the same keys without
-looking up those that cannot be there yet. ``constant`` is also the one
-table of PCF's seven constants: the readers, the printer, the W-tree
-decoder and the elaborator build and name constants through it alone.
+looking up those that cannot be there yet, and the engine looks a
+pending application up with ``_pooled``, which builds nothing.
+``constant`` is also the one table of PCF's seven constants: the
+readers, the printer, the W-tree decoder and the elaborator build and
+name constants through it alone.
 A term never equals a tag string, and a tuple of parameters never
 equals a term, so the two key shapes never collide. Interning is
 single-threaded: it looks a key up and then inserts it, so two threads
@@ -360,6 +362,13 @@ def App(fun: Term, arg: Term) -> Term:
     return _pool_add(key, t)
 
 
+def _pooled(fun: Term, arg: Term):
+    """The interned ``App(fun, arg)`` if the pool holds it, else None;
+    builds nothing."""
+    ref = _pool.get((fun, arg))
+    return None if ref is None else ref()
+
+
 def _unroll(f: Term, t: Term, k: int) -> Term:
     """``f^k t``: f applied k times to t, the term k calls of ``App``
     would build.
@@ -376,8 +385,8 @@ def _unroll(f: Term, t: Term, k: int) -> Term:
     """
     cur = t
     while k:
-        ref = _pool.get((f, cur))
-        if ref is None or (nxt := ref()) is None:
+        nxt = _pooled(f, cur)
+        if nxt is None:
             break
         cur, k = nxt, k - 1
     if not k:

@@ -6,6 +6,8 @@ area, where pytest's output capture cannot swallow them.
 ``shallow_stack`` lowers the recursion limit around a block;
 ``collector_off`` runs a block with the cyclic garbage collector off;
 ``engine_app_calls`` counts the terms a run of the engine makes.
+``_subterms`` lists a term's distinct subterms and ``_forget_values``
+clears the denotations `scott` keeps on terms.
 ``recursive_function`` and ``recursive_programs`` write surface
 programs that recurse on a numeral, so that their denotations commit
 only at fuels well past one unrolling of `fix`.
@@ -74,6 +76,22 @@ def engine_app_calls():
         yield calls
     finally:
         opsem.App, syntax._unroll = app, unroll
+
+
+def _subterms(t):
+    """Each distinct subterm of t, mapped to whether a fix is below it."""
+    from pcfkit.syntax import fold
+
+    memo = {}
+    fold(t, lambda c: c.tag == "fix", lambda _x, f, a: f or a, memo)
+    return memo
+
+
+def _forget_values(terms):
+    """Clear the value, and the fuel it holds from, that scott keeps on
+    each of these terms."""
+    for x in terms:
+        x.value, x.since = None, float("inf")
 
 
 # one-hole contexts around the recursive call; a second {} is the same hole

@@ -388,6 +388,21 @@ def test_a_new_fix_chain_costs_no_app_call_per_term(monkeypatch):
     assert calls[0] <= 2
 
 
+@pytest.mark.parametrize("t, most", [
+    (elaborate(parse(f"{ADD_SRC} #40 #40")), 2600),
+    (mul_term(4), 2100),
+], ids=["add 40 40", "mul 4 4"])
+def test_a_run_builds_only_the_terms_it_keeps(t, most):
+    # a counter that does not depend on the machine: an application the
+    # run takes apart at once (the s rule's f t (g t), a spine a frame
+    # pop or a memo splice gives) is held as its parts, not built; calls
+    # are counted, not pool misses, which depend on what the pool holds
+    with engine_app_calls() as calls:
+        final, _ = run_bounded(t, 10 ** 6)
+    assert final.numeral is not None
+    assert calls[0] <= most
+
+
 def fuzz_corpora():
     """The acceptance suites' corpora (seed 200 at depth 6, seed 201 at
     depth 5), base-type terms first, then as many of random types; each
@@ -410,6 +425,17 @@ def oracle_chain(t, n):
             break
         chain.append(nxt[0])
     return chain
+
+
+def test_runs_end_where_the_oracle_does():
+    # every other multi-step test compares the engine with itself; this
+    # one follows successors, which never enters _run_pure
+    for _, terms in fuzz_corpora():
+        for t in terms:
+            chain = oracle_chain(t, 100)
+            for k in (1, 7, 100):
+                used = min(k, len(chain) - 1)
+                assert run_bounded(t, k) == (chain[used], used), (t, k)
 
 
 def contains_fix(t):

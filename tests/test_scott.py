@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (
-    collector_off, recursive_function, recursive_programs, shallow_stack,
+    _forget_values, _subterms, collector_off, recursive_function,
+    recursive_programs, shallow_stack,
 )
 from pcfkit import opsem, scott
 from pcfkit.frontend import elaborate, parse
@@ -126,6 +127,22 @@ def test_denote_rejects_ill_typed_terms():
         denote_base(Succ, 0)
 
 
+def test_an_ill_typed_term_is_reported_alike_at_every_entry_point():
+    # each names the offending application, not "got None"
+    bad = App(Succ, App(Zero, Zero))
+    calls = [
+        lambda t: denote(t, 4), lambda t: denote_base(t, 4),
+        lambda t: reaches_numeral(t, 10),
+        lambda t: check_soundness(t, 10, 4),
+        lambda t: check_adequacy(t, 4, 10),
+        lambda t: check_semidecidability(t, 4, 10),
+    ]
+    for call in calls:
+        with pytest.raises(TypeMismatch) as err:
+            call(bad)
+        assert err.value.subterm is App(Zero, Zero)
+
+
 def test_a_negative_fuel_is_refused_at_once():
     # an arrow-type fix at fuel -1 would iterate -1, -2, ... for good,
     # and at fuel 2.5 count 1.5, 0.5, -0.5, ...; a fuel True would pass
@@ -175,20 +192,6 @@ def test_interpreter_memoizes():
     # a term with no fix: one object for every fuel
     for t in (Zero, App(App(App(Ifz, numeral(2)), Zero), numeral(1))):
         assert interp.denote(t, 0) is interp.denote(t, 64)
-
-
-def _subterms(t):
-    """Each distinct subterm of t, mapped to whether a fix is below it."""
-    memo = {}
-    fold(t, lambda c: c.tag == "fix", lambda _x, f, a: f or a, memo)
-    return memo
-
-
-def _forget_values(terms):
-    """Clear the value, and the fuel it holds from, that scott keeps on
-    each of these terms."""
-    for x in terms:
-        x.value, x.since = None, float("inf")
 
 
 def _fuzz_terms(seed, count):
@@ -559,15 +562,16 @@ class TestSoundness:
         assert check_soundness(mul, 10 ** 7, 21) == Verdict("ok", 25)
 
     @pytest.mark.parametrize("rule, wrong", [
-        (RuleName.PredSucc, lambda t: t.arg),      # pred (succ n) ~> succ n
-        (RuleName.IfzZero, lambda t: t.fun.arg),   # ifz s t 0 ~> t
+        (RuleName.PredSucc, lambda f, a: a),       # pred (succ n) ~> succ n
+        (RuleName.IfzZero, lambda f, a: f.arg),    # ifz s t 0 ~> t
     ], ids=["pred-succ", "ifz-zero"])
     def test_a_wrong_contraction_is_a_violation(self, monkeypatch, rule,
                                                 wrong):
+        # the engine contracts App(f, a) from its parts
         contract = opsem._contract
         monkeypatch.setattr(
             opsem, "_contract",
-            lambda t, r: wrong(t) if r is rule else contract(t, r))
+            lambda f, a, r: wrong(f, a) if r is rule else contract(f, a, r))
         rng = random.Random(200)  # criterion 4's corpus
         found = [v for v in (check_soundness(random_term(rng, Iota, depth=6),
                                              2000, 32) for _ in range(200))
