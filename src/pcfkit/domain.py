@@ -238,18 +238,20 @@ def preserves_directed_lubs(d, e, table):
     """Whether a raw table sends suprema of directed subsets to suprema.
 
     The table need not be monotone; this is the hypothesis side of the
-    monotone-for-free lemma, checked over every directed subset.
+    monotone-for-free lemma, checked over every directed subset.  A
+    table not of length ``d.size`` is a ValueError, as in `MonotoneMap`.
     """
     p = d.poset
+    if len(table) != p.size:
+        raise ValueError("table length must match the source carrier")
     if p.size > 12:
         raise TooLarge("subset enumeration guard")
     for mask in range(1, 1 << p.size):
         if not _directed_mask(p, mask):
             continue
         members = list(_bits(mask))
+        # a finite directed subset holds its own maximum, so top exists
         top = lub(p, members)
-        if top is None:
-            return False
         img = lub(e.poset, [table[i] for i in members])
         if img is None or img != table[top]:
             return False

@@ -10,6 +10,11 @@ Exit codes, uniform across subcommands:
   4  internal violation: a cross-check failed, or the run died of
      RecursionError, MemoryError or AssertionError (one line on stderr)
 
+A program of arrow type is a type error (exit 2) for ``denote``,
+``adequacy`` and ``sound``, which need a base-type term. ``run`` reads
+only whether the run ends at a numeral, so it prints ``no-numeral``
+and exits 1 on such a program instead.
+
 A reader that closes stdout early (``pcf step ... | head -1``) ends the
 run with exit 0 and nothing on stderr: no one reads the rest.
 

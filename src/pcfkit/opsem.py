@@ -87,9 +87,9 @@ import gc
 from collections import namedtuple
 
 from . import syntax
-from .rules import CONGRUENCE_RULES, RuleName
 from .syntax import (
-    App, Iota, Term, WrongType, _app_rule, _check_natural, _pooled, type_of,
+    CONGRUENCE_RULES, App, RuleName, Term, WrongType, _app_rule, _check_base,
+    _check_natural, _pooled,
 )
 
 __all__ = [
@@ -370,10 +370,8 @@ def run_memo(t: Term, max_steps: int, *, numeral_only=False):
     paused = gc.isenabled()
     gc.disable()
     try:
-        if numeral_only:
-            final, steps = _run_pure(t, max_steps, memo, numeral_only=True)
-        else:
-            final, steps = _run_pure(t, max_steps, memo)
+        final, steps = _run_pure(t, max_steps, memo,
+                                 numeral_only=numeral_only)
     finally:
         if paused:
             gc.enable()
@@ -412,10 +410,7 @@ def reaches_numeral(t: Term, k: int):
     offending application, as in scott.denote, and a well-typed t of
     arrow type a WrongType.
     """
-    if t.ty is None:
-        type_of(t)  # raises with the offending subterm
-    if t.ty is not Iota:
-        raise WrongType(f"reaches_numeral needs a base-type term, got {t.ty}")
+    _check_base(t, "reaches_numeral")
     final, _ = run_bounded(t, k, numeral_only=True)
     return None if final is None else final.numeral
 

@@ -41,7 +41,7 @@ from .lifting import BOT, kleisli, fmap, render, unit
 # when the tracer's patch list changes (ROADMAP item 1).
 from .opsem import reaches_numeral, reduce, run_memo
 from .syntax import (
-    Arrow, Iota, Record, WrongType, _check_natural, fold, type_of,
+    Arrow, Iota, Record, _check_base, _check_natural, fold, type_of,
     term_to_sexp, weak_pool,
 )
 
@@ -225,7 +225,7 @@ class Interpreter:
         if t.ty is None:
             type_of(t)  # raises with the offending subterm
         self._fuel = fuel
-        if t.tag != "app":
+        if t.tag != "app":  # no value is kept on a constant; a fold costs 3x
             return self._constant(t)
         memo = self._memo.get(fuel)
         if memo is None:
@@ -233,10 +233,8 @@ class Interpreter:
         return fold(t, self._constant, self._node, memo, known=fuel)
 
     def denote_base(self, t, fuel):
-        if t.ty is None:
-            type_of(t)  # raises with the offending subterm
-        if t.ty is not Iota:
-            raise WrongType(f"denote_base needs a base-type term, got {t.ty}")
+        if t.ty is not Iota:  # a fuel ladder calls this once per fuel
+            _check_base(t, "denote_base")
         return self.denote(t, fuel)
 
     def _constant(self, t):

@@ -6,7 +6,7 @@ every term carries three facts computed once at construction time:
 
   * ``ty``       its PCF type, or None if some application is ill-typed
   * ``numeral``  n if the term is syntactically succ^n(zero), else None
-  * ``rule``     which reduction rule (if any) applies to the whole term
+  * ``rule``     which ``RuleName`` (if any) applies to the whole term
 
 The reduction engine and the denotational interpreter lean on these
 fields heavily; nothing in this module ever rescans a subtree. Two more
@@ -44,15 +44,14 @@ copies, and ``is`` stops meaning equal.
 
 from __future__ import annotations
 
+import enum
 import weakref
 from functools import lru_cache
-
-from .rules import RuleName
 
 __all__ = [
     "PcfType", "Iota", "Arrow",
     "Term", "constant", "Zero", "Succ", "Pred", "Ifz", "K", "S", "Fix",
-    "App",
+    "App", "RuleName", "CONGRUENCE_RULES",
     "TypeMismatch", "WrongType", "Record",
     "type_of", "numeral", "fold", "term_size",
     "term_to_sexp", "type_to_sexp", "parse_term_sexp", "parse_type_sexp",
@@ -153,6 +152,15 @@ def _check_natural(n, what):
         raise ValueError(f"{what} must be a natural, got {n}")
 
 
+def _check_base(t, who):
+    """Refuse t unless it is of base type: an ill-typed t is a
+    TypeMismatch naming the offending application, else a WrongType."""
+    if t.ty is None:
+        type_of(t)  # raises with the offending subterm
+    if t.ty is not Iota:
+        raise WrongType(f"{who} needs a base-type term, got {t.ty}")
+
+
 class _PoolRef(weakref.ref):
     """A weak reference that carries its key in the pool that holds it.
 
@@ -240,6 +248,34 @@ _CONSTANTS = {
         Arrow(Arrow(sigma, tau), Arrow(sigma, rho))),
     "fix": lambda sigma: Arrow(Arrow(sigma, sigma), sigma),
 }
+
+
+class RuleName(enum.Enum):
+    """One name per rule of the one-step relation, spelled as in the
+    CLI trace. ``_app_rule`` below is the one function that picks one."""
+
+    PredZero = "pred-zero"    # pred 0  ~>  0
+    PredSucc = "pred-succ"    # pred (n+1)  ~>  n
+    IfzZero = "ifz-zero"      # ifz s t 0  ~>  s
+    IfzSucc = "ifz-succ"      # ifz s t (n+1)  ~>  t
+    KRule = "k"               # k s t  ~>  s
+    SRule = "s"               # s f g t  ~>  f t (g t)
+    FixRule = "fix"           # fix f  ~>  f (fix f)
+    AppLeft = "app-left"      # f ~> g  implies  f t ~> g t
+    SuccArg = "succ-arg"      # s ~> t  implies  succ s ~> succ t
+    PredArg = "pred-arg"      # s ~> t  implies  pred s ~> pred t
+    IfzScrut = "ifz-scrut"    # r ~> r' implies  ifz s t r ~> ifz s t r'
+
+    # members are singletons; identity hashing spares the engine a
+    # Python-level Enum.__hash__ call per membership test
+    __hash__ = object.__hash__
+
+
+# The four congruence rules descend into a subterm; the other seven
+# contract a redex at the root.
+CONGRUENCE_RULES = frozenset(
+    {RuleName.AppLeft, RuleName.SuccArg, RuleName.PredArg, RuleName.IfzScrut}
+)
 
 
 def _app_rule(f, a):

@@ -234,6 +234,14 @@ class TestSupPreservation:
         with pytest.raises(TooLarge):
             preserves_directed_lubs(chain(13), chain(2), (0,) * 13)
 
+    def test_a_short_table_is_refused(self):
+        with pytest.raises(ValueError, match="table length"):
+            preserves_directed_lubs(chain(3), chain(2), (0, 1))
+
+    def test_a_long_table_is_refused(self):
+        with pytest.raises(ValueError, match="table length"):
+            preserves_directed_lubs(chain(2), chain(2), (0, 1, 1))
+
 
 class TestCorpusGenerator:
     def test_shapes_and_determinism(self):

@@ -57,10 +57,10 @@ print(code, *sorted(m for m in sys.modules if m.startswith("pcfkit")
                     or m in ("dataclasses", "inspect", "typing")))
 """
 
-# the modules every subcommand loads: the frontend, syntax and rules
+# the modules every subcommand loads: the frontend and syntax
 FRONTEND = {"pcfkit", "pcfkit.frontend", "pcfkit.frontend.cli",
             "pcfkit.frontend.elaborate", "pcfkit.frontend.surface",
-            "pcfkit.syntax", "pcfkit.rules"}
+            "pcfkit.syntax"}
 # and the layers each subcommand adds to them
 LAYERS = {"check": (), "compile": (), "step": ("opsem",), "run": ("opsem",),
           "denote": ("opsem", "scott", "lifting"),
@@ -492,6 +492,17 @@ class TestCli:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = self.run_cli(capsys, "run", str(tmp_path / "no.pcf"))
         assert code == 3 and "cannot read" in err
+
+    def test_a_non_base_program_is_refused(self, capsys, tmp_path):
+        src = tmp_path / "id.pcf"
+        src.write_text("\\x:nat. x\n")
+        for sub in ("denote", "adequacy", "sound"):
+            assert self.run_cli(capsys, sub, str(src)) == (
+                2, "", "type error: denote_base needs a base-type term,"
+                       " got (arr iota iota)\n")
+        # run reads only whether the run ends at a numeral
+        assert self.run_cli(capsys, "run", str(src)) == (
+            1, "no-numeral\n", "")
 
     def test_compile_matches_library(self, capsys, tmp_path):
         src = tmp_path / "id.pcf"

@@ -14,10 +14,9 @@ from pcfkit.opsem import (
     Step, StepRelation, WrongType, _run_pure, reaches_numeral, reduce,
     run_bounded, run_memo, step, successors,
 )
-from pcfkit.rules import CONGRUENCE_RULES, RuleName
 from pcfkit.syntax import (
-    App, Arrow, Fix, Ifz, Iota, K, Pred, S, Succ, Term, Zero, fold, numeral,
-    random_term, random_type, type_of,
+    CONGRUENCE_RULES, App, Arrow, Fix, Ifz, Iota, K, Pred, RuleName, S, Succ,
+    Term, Zero, fold, numeral, random_term, random_type, type_of,
 )
 
 NN = Arrow(Iota, Iota)
@@ -474,9 +473,9 @@ def test_run_bounded_leaves_the_collector_as_it_found_it(monkeypatch):
     seen = []
     run_pure = opsem._run_pure
 
-    def spy(t, max_steps, memo=None):
+    def spy(t, max_steps, memo=None, *, numeral_only=False):
         seen.append(gc.isenabled())
-        return run_pure(t, max_steps, memo)
+        return run_pure(t, max_steps, memo, numeral_only=numeral_only)
 
     monkeypatch.setattr(opsem, "_run_pure", spy)
     assert gc.isenabled()
@@ -492,7 +491,7 @@ def test_run_bounded_leaves_the_collector_as_it_found_it(monkeypatch):
         run_bounded(FIX_SUCC, 3)
         assert not gc.isenabled() and seen == [False]
 
-    def interrupted(t, max_steps, memo=None):
+    def interrupted(t, max_steps, memo=None, *, numeral_only=False):
         seen.append(gc.isenabled())
         raise KeyboardInterrupt
 

@@ -14,14 +14,13 @@ from pcfkit import opsem, scott
 from pcfkit.frontend import elaborate, parse
 from pcfkit.lifting import BOT, leq, unit
 from pcfkit.opsem import WrongType, reaches_numeral
-from pcfkit.rules import RuleName
 from pcfkit.scott import (
     Func, Interpreter, Verdict, bottom_value, check_adequacy,
     check_semidecidability, check_soundness, denote, denote_base,
 )
 from pcfkit.syntax import (
-    App, Arrow, Fix, Ifz, Iota, K, Pred, S, Succ, Term, TypeMismatch, Zero,
-    fold, numeral, random_term,
+    App, Arrow, Fix, Ifz, Iota, K, Pred, RuleName, S, Succ, Term,
+    TypeMismatch, Zero, fold, numeral, random_term,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -141,6 +140,18 @@ def test_an_ill_typed_term_is_reported_alike_at_every_entry_point():
         with pytest.raises(TypeMismatch) as err:
             call(bad)
         assert err.value.subterm is App(Zero, Zero)
+
+
+def test_a_non_base_term_is_refused_with_its_type():
+    ident = elaborate(parse("\\x:nat. x"))
+    with pytest.raises(WrongType) as err:
+        reaches_numeral(ident, 10)
+    assert str(err.value) == (
+        "reaches_numeral needs a base-type term, got (arr iota iota)")
+    with pytest.raises(WrongType) as err:
+        denote_base(ident, 4)
+    assert str(err.value) == (
+        "denote_base needs a base-type term, got (arr iota iota)")
 
 
 def test_a_negative_fuel_is_refused_at_once():
