@@ -13,10 +13,14 @@ occurrences: every other constant means the same at every fuel.
 
 `fix f` means the least upper bound of the chain f^n(bot).  Once an
 iterate is a fixed point of f, every longer chain ends at it, so every
-higher fuel gives the same value: one `fix` loop stops there.  So a
-subterm has one value at every fuel from some fuel on when no `fix` is
-below it (from fuel 0 on), or once the `fix`es below it have reached
-their fixed points.  That is a fact about the interned term, not about
+higher fuel gives the same value: one `fix` loop stops there.  And
+since the approximants climb with the fuel, a base-type subterm that
+denotes a defined natural at one fuel denotes it at every higher one:
+``eta k`` is maximal in the information order.  So a subterm has one
+value at every fuel from some fuel on when no `fix` is below it (from
+fuel 0 on), once the `fix`es below it have reached their fixed points,
+or once it is a defined natural (from the fuel a fold found it at on).
+That is a fact about the interned term, not about
 the `Interpreter` that found it, and it is kept in one table on the
 term: `syntax.Term.value` is the term's denotation at every fuel from
 `syntax.Term.since` on.  The first `Interpreter` to find it writes it
@@ -199,15 +203,22 @@ class Interpreter:
       longer chain stops at v;
     - any other application is kept from the later ``since`` of its
       operands, once both are at most n: the same operands give the
-      same result.  With no `fix` below it, that is from 0 on.
+      same result.  With no `fix` below it, that is from 0 on;
+    - a base-type application that neither rule keeps is kept from n on
+      when its value is a defined natural: that is maximal, and the
+      approximants climb with the fuel, so every higher fuel gives it.
+      An arrow-type `fix` such as `add`'s never reaches a fixed point,
+      so without this rule every fuel of a ladder would fold the whole
+      term again after the answer is known.
 
     The fold reaches only an application whose ``since`` is above n, so
-    a write only ever lowers ``since``.  A `fix g` is kept from the fuel
-    where the fixed point was found, not from the iterate that reached
-    it, so `_apply` reports nothing back and the rules stay exact for
-    fuels asked in any order.  A new fuel re-applies only the part of
-    the terms above a `fix` that has not reached its fixed point, and
-    each application at most once per fuel.
+    a write only ever lowers ``since``.  A `fix g` or a defined natural
+    is kept from the fuel where it was found, not from the least fuel
+    that gives it, so `_apply` reports nothing back and the rules stay
+    exact for fuels asked in any order.  A new fuel re-applies only the
+    part of the terms above a `fix` that has not reached its fixed
+    point and below every defined natural kept for it, and each
+    application at most once per fuel.
 
     A fuel that is not an int (a bool neither) is a TypeError, and a
     negative one a ValueError, here and so in `denote`, `denote_base`
@@ -258,11 +269,17 @@ class Interpreter:
             # g's cache
             if sa <= fuel and a._cache.get(v, _MISS) == v:
                 x.value, x.since = v, fuel
+                return v
         else:
             sf = fun.since if fun.tag == "app" else 0
             since = sf if sf > sa else sa
             if since <= fuel:
                 x.value, x.since = v, since
+                return v
+        # a defined natural is maximal, and the approximants climb with
+        # the fuel: every higher fuel gives it too
+        if x.ty is Iota and v.value is not None:
+            x.value, x.since = v, fuel
         return v
 
 

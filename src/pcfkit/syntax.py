@@ -465,8 +465,7 @@ def type_of(t: Term) -> PcfType:
 
 def numeral(n: int) -> Term:
     """The nth numeral: succ applied n times to zero."""
-    if n < 0:
-        raise ValueError("numerals are naturals")
+    _check_natural(n, "numeral")
     t = Zero
     for _ in range(n):
         t = App(Succ, t)

@@ -428,6 +428,27 @@ def test_a_value_kept_on_the_term_serves_every_interpreter(monkeypatch):
     assert (CONST7.since, CONST7.value) == (1, v)
 
 
+def test_a_ladder_keeps_the_answer_from_the_least_committing_fuel(
+        monkeypatch):
+    # add's arrow-type fix never reaches a fixed point, but its answer is
+    # a defined natural: an ascending ladder keeps it on the term from
+    # the least fuel that gives it, and from there on any Interpreter
+    # reads it and applies nothing; below it one still folds to bot
+    add = elaborate(parse((SAMPLES / "add.pcf").read_text()))
+    _forget_values(_subterms(add))
+    ladder = Interpreter()
+    for fuel in range(65):
+        ladder.denote_base(add, fuel)
+    assert (add.since, add.value) == (2, unit(3))
+    counter = _CountApply(monkeypatch)
+    for fuel in range(2, 65):
+        assert Interpreter().denote_base(add, fuel) is add.value
+    assert counter.calls == 0
+    for fuel in (1, 0):
+        assert Interpreter().denote_base(add, fuel) == BOT
+    assert add.since == 2
+
+
 def test_kept_values_hold_from_their_fuel_on():
     # after ladders by several Interpreters, each in its own shuffled
     # order, the value kept on each subterm is what a fresh Interpreter
@@ -530,20 +551,21 @@ def test_equal_denotation_does_not_imply_interreduction():
 
 
 def test_fuel_monotonicity_fuzz():
+    # each term is denoted from fuel 32 down with no value kept below it,
+    # as criterion 6 does: a defined natural is kept from the fuel that
+    # found it, so an ascending walk would read it back at every higher
+    # fuel and check nothing. Every fuel is asked, not only the powers of
+    # two: a fix unrolled a wrong number of times can agree at those
     rng = random.Random(82)
-    fuels = (0, 1, 2, 4, 8, 16, 32)
     interp = Interpreter()
     for _ in range(120):
         t = random_term(rng, Iota, depth=6)
-        committed = None
-        for f in fuels:
-            v = interp.denote_base(t, f)
-            if committed is None:
-                committed = v.value
-            elif v.defined:
-                assert v.value == committed
-            else:
-                assert committed is None
+        _forget_values(_subterms(t))
+        vals = [interp.denote_base(t, f) for f in range(32, -1, -1)]
+        vals.reverse()
+        first = next((f for f, v in enumerate(vals) if v.defined), None)
+        if first is not None:
+            assert all(v == vals[first] for v in vals[first:]), (t, first)
 
 
 class TestSoundness:

@@ -79,6 +79,11 @@ def test_constant_is_the_table_of_constants():
 def test_numeral_zero_and_two():
     assert numeral(0) is Zero
     assert numeral(2) is App(Succ, App(Succ, Zero))
+    # a bool is an int to Python, but not a natural here
+    with pytest.raises(TypeError, match="numeral"):
+        numeral(True)
+    with pytest.raises(ValueError, match="numeral"):
+        numeral(-1)
 
 
 def test_numeral_type_and_size():
