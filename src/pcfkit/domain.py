@@ -126,8 +126,9 @@ class FiniteDcpoBot(namedtuple("FiniteDcpoBot", "poset bottom tables",
 
     Every finite directed subset contains its own maximum, so the
     completeness half of the definition holds automatically and is not
-    checked.  The constructor checks that ``bottom`` is least (``_make``
-    and ``_replace`` skip the check).
+    checked.  The constructor checks that ``bottom`` is the int index (a
+    bool is not one) of the least element (``_make`` and ``_replace``
+    skip the check).
     The optional ``tables`` tuple records, for function-space instances,
     which map each carrier index stands for.
     """
@@ -135,7 +136,7 @@ class FiniteDcpoBot(namedtuple("FiniteDcpoBot", "poset bottom tables",
     __slots__ = ()
 
     def __new__(cls, poset, bottom, tables=None):
-        if not 0 <= bottom < poset.size:
+        if type(bottom) is not int or not 0 <= bottom < poset.size:
             raise ValueError("bottom index outside carrier")
         if poset.rows[bottom] != (1 << poset.size) - 1:
             raise ValueError("bottom is not below every element")
@@ -159,8 +160,9 @@ def _table_monotone(sp, tp, table):
 
 
 class MonotoneMap(namedtuple("MonotoneMap", "source target table"), Record):
-    """An order-preserving map between pointed dcpos, as a lookup table,
-    checked by the constructor (``_make`` and ``_replace`` skip that)."""
+    """An order-preserving map between pointed dcpos, as a lookup table
+    of int indices (a bool is not one), checked by the constructor
+    (``_make`` and ``_replace`` skip that)."""
 
     __slots__ = ()
 
@@ -169,7 +171,7 @@ class MonotoneMap(namedtuple("MonotoneMap", "source target table"), Record):
         if len(table) != source.size:
             raise ValueError("table length must match the source carrier")
         for v in table:
-            if not 0 <= v < target.size:
+            if type(v) is not int or not 0 <= v < target.size:
                 raise ValueError(f"table value {v} outside target carrier")
         if not _table_monotone(source.poset, target.poset, table):
             raise ValueError("table is not order preserving")

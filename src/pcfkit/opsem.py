@@ -49,21 +49,25 @@ the k steps left at once, with no frame per unrolling, through
 holds, builds the first missing term through ``App``, and enters each
 later one with no pool lookup, which could not hit, since its key holds
 the term built just before it in the same call. This serves ``step``,
-``reduce`` and ``run_bounded`` alike, and ``successors`` still derives
-each unrolling on its own.
+``reduce`` and every ``run_bounded`` run but a numeral-only one, and
+``successors`` still derives each unrolling on its own.
 
 A caller that reads only whether a run ends at a numeral
 (``reaches_numeral``, and so the adequacy and semidecidability checks,
 and ``pcf run``) asks ``run_bounded`` for a numeral-only run. Such a
 run also marks each subterm it is still reducing in the memo, and stops
-with ``(None, max_steps)`` when it meets a marked subterm again, or
-when ``fix f`` would unroll for the rest of the budget. A subterm met
-again while it is being reduced is a black hole in Launchbury's sense
-(1993, "A natural semantics for lazy evaluation"): its normal form
-would depend on itself, so the full run would use the whole budget and
-end at a term that still steps. A pending focus is checked by looking
-its parts up in the pool, which builds nothing: a marked term is a memo
-key, so it is alive and pooled. The check is sound but not complete: a
+with ``(None, max_steps)`` by one rule: when it meets a marked subterm
+again. A subterm met again while it is being reduced is a black hole in
+Launchbury's sense (1993, "A natural semantics for lazy evaluation"):
+its normal form would depend on itself, so the full run would use the
+whole budget and end at a term that still steps. The run looks for a
+mark at two places: at a child it is about to enter, and at the focus
+after each step, splice or rebuild. A loop can close at a pending
+focus too (after an ``s`` or a fix step), so a pending focus is looked
+up in the pool, which builds nothing: a marked term is a memo key, so
+it is alive and pooled. The run takes the ordinary fix step, so a
+``fix f`` that unrolls inside itself is entered and marked, and its
+next unrolling meets the mark. The check is sound but not complete: a
 loop whose terms keep growing, such as
 ``(fix \\g:nat -> nat. \\n:nat. g (succ n)) #0``, meets no subterm again
 and runs until its budget is used up.
@@ -233,34 +237,45 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
     memo-free run at every budget. run_bounded passes a fresh memo on
     each call.
 
-    The fix rule takes one shortcut. When ``fix f ~> f (fix f)`` gives
-    a term that steps inside its argument (f is succ, pred or ifz s t),
-    every step left unrolls that same ``fix f`` once more, so the
-    budget runs out there, at ``f^k (fix f)`` for the k steps left.
-    The zipper builds that term with ``syntax._unroll``, which looks the
-    chain up in the pool only as far as its first missing term (every
-    later key holds a term built in the same call, so no lookup could
-    hit), and sets the step count to the budget. The frames above it
-    then pop on an exhausted budget and store no memo entry, just as
-    after k single steps. Such a ``fix f`` never reaches a normal form,
-    so the memo never holds it.
+    The fix rule takes one shortcut, except in a numeral-only run. When
+    ``fix f ~> f (fix f)`` gives a term that steps inside its argument
+    (f is succ, pred or ifz s t), every step left unrolls that same
+    ``fix f`` once more, so the budget runs out there, at
+    ``f^k (fix f)`` for the k steps left. The zipper builds that term
+    with ``syntax._unroll``, which looks the chain up in the pool only
+    as far as its first missing term (every later key holds a term built
+    in the same call, so no lookup could hit), and sets the step count
+    to the budget. The frames above it then pop on an exhausted budget
+    and store no memo entry, just as after k single steps. Such a
+    ``fix f`` never reaches a normal form, so the memo never holds it.
 
     ``numeral_only`` (with a memo) is for a caller that reads only
     whether the final term is a numeral. The run marks the start term,
     and each subterm it enters through a congruence rule, as in progress
     in the memo; a frame that pops on a normal form replaces the mark
     with the usual entry. It returns ``(None, max_steps)`` at once when
-    the focus it reaches after a contraction, a memo splice or a frame
-    rebuild, or a child it is about to enter, is marked, and when the
-    fix shortcut is about to build ``f^k (fix f)``. A pending focus is
-    looked up in the pool with ``syntax._pooled``, which builds nothing:
-    a marked term is a memo key, so it is alive and pooled, and a pair
-    with no pooled term cannot be marked. This is exact: such a term X
-    was reached from the marked one in at least one step (a proper
-    subterm cannot equal its whole), and by the invariant above the
-    steps X takes to its normal form are at least one more than its
-    own, so X has none and the full run ends with the budget used up,
-    at a term that still steps.
+    it meets a marked term, at one of two places: a child it is about to
+    enter, and, past the start, the focus at the loop head, after a
+    contraction, a memo splice or a frame rebuild. A pending focus can
+    close a loop too (``(\\x:nat. x) (fix \\x:nat. x)`` comes back to
+    itself as the pair the fix step gives), so it is looked up in the
+    pool with ``syntax._pooled``, which builds nothing: a marked term is
+    a memo key, so it is alive and pooled, and a pair with no pooled
+    term cannot be marked. This is exact: such a term X was reached
+    from the marked one in at least one step (a proper subterm cannot
+    equal its whole), and by the invariant above the steps X takes to
+    its normal form are at least one more than its own, so X has none
+    and the full run ends with the budget used up, at a term that still
+    steps. Once the budget is used up, a frame that pops leaves its mark
+    behind, and the focus may meet such a mark while its term would
+    still reach a normal form; but a marked term steps, and the focus is
+    in a congruence position of the final term, so the full run also
+    ends at a term that still steps. The run takes the ordinary fix step, not the shortcut: when
+    ``f (fix f)`` steps inside ``fix f``, the run enters ``fix f``
+    through a congruence rule and marks it, and the next unrolling
+    meets the mark as a child: ``fix succ`` stops after its first
+    unrolling, and a ``fix f`` reached by a contraction after its
+    second.
     """
     cur = t
     fun = arg = None  # the parts of a pending focus, when cur is None
@@ -272,13 +287,12 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
         # past the start, the focus was reached in at least one step
         # from each subterm marked in progress, so if it is one of them
         # that one never reaches a normal form
+        if numeral_only and steps and memo.get(
+                _pooled(fun, arg) if cur is None else cur) is _BUSY:
+            return None, max_steps
         if cur is None:
             r = _app_rule(fun, arg)
-            if numeral_only and memo.get(_pooled(fun, arg)) is _BUSY:
-                return None, max_steps
         else:
-            if numeral_only and steps and memo.get(cur) is _BUSY:
-                return None, max_steps
             r = cur.rule
             fun, arg = cur.fun, cur.arg
         if r is None or steps >= max_steps:
@@ -325,11 +339,9 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
             if r is _FIX:
                 # fix f, interned once: f (fix f) and the unrolling hold it
                 fx = App(fun, arg) if cur is None else cur
-                if _app_rule(arg, fx) in _INTO_ARG:
+                if not numeral_only and _app_rule(arg, fx) in _INTO_ARG:
                     # f (fix f) steps inside fix f, so every step left
                     # unrolls it once more: the budget runs out here
-                    if numeral_only:
-                        return None, max_steps
                     cur = syntax._unroll(arg, fx, max_steps - steps)
                     steps = max_steps
                 else:
@@ -393,9 +405,8 @@ def run_bounded(t: Term, max_steps: int, *, numeral_only=False):
     ends at a numeral, the run may stop early and return
     ``(None, max_steps)``. It does so only where the full run would use
     the whole budget and end at a term that still steps, so never at a
-    numeral: when it re-enters a subterm it is still reducing, or when
-    ``fix f`` would unroll for the rest of the budget (see _run_pure).
-    Otherwise it returns what the full run returns.
+    numeral: when it re-enters a subterm it is still reducing (see
+    _run_pure). Otherwise it returns what the full run returns.
     """
     return run_memo(t, max_steps, numeral_only=numeral_only)[:2]
 
@@ -404,11 +415,10 @@ def reaches_numeral(t: Term, k: int):
     """n if t reduces to the numeral n within k steps, else None.
 
     Runs run_bounded with ``numeral_only``, so a run that re-enters a
-    subterm it is still reducing, or reaches a ``fix f`` that would
-    unroll for the rest of the budget, answers None at once instead of
-    after k steps. An ill-typed t is a TypeMismatch that names the
-    offending application, as in scott.denote, and a well-typed t of
-    arrow type a WrongType.
+    subterm it is still reducing answers None at once instead of after
+    k steps. An ill-typed t is a TypeMismatch that names the offending
+    application, as in scott.denote, and a well-typed t of arrow type a
+    WrongType.
     """
     _check_base(t, "reaches_numeral")
     final, _ = run_bounded(t, k, numeral_only=True)

@@ -602,7 +602,8 @@ def _finish(items):
         return Arrow(_as_type(rest[0]), _as_type(rest[1]))
     if head == "app" and len(rest) == 2:
         return App(_as_term(rest[0]), _as_term(rest[1]))
-    if rest:  # a constant with type parameters
+    if rest and head not in ("app", "arr"):
+        # a constant with type parameters
         params = tuple(map(_as_type, rest))
         try:
             return constant(head, params)

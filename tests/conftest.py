@@ -10,7 +10,8 @@ area, where pytest's output capture cannot swallow them.
 clears the denotations `scott` keeps on terms.
 ``recursive_function`` and ``recursive_programs`` write surface
 programs that recurse on a numeral, so that their denotations commit
-only at fuels well past one unrolling of `fix`.
+only at fuels well past one unrolling of `fix`. ``ADD_SRC`` and
+``MUL_SRC`` are the surface sources of addition and multiplication.
 """
 
 import gc
@@ -18,6 +19,13 @@ import sys
 from contextlib import contextmanager
 
 ACCEPTANCE_RESULTS = []
+
+# Addition and multiplication by recursion on the second argument, as in
+# the benchmark; call-by-name makes mul n n blow up in n.
+ADD_SRC = (r"(fix \f:nat -> nat -> nat. \x:nat. \y:nat."
+           r" ifz x (succ (f x (pred y))) y)")
+MUL_SRC = (r"(fix \m:nat -> nat -> nat. \x:nat. \y:nat."
+           r" ifz #0 (" + ADD_SRC + r" x (m x (pred y))) y)")
 
 
 @contextmanager

@@ -48,8 +48,9 @@ class TestPosetLaws:
         p = flat(2).poset
         with pytest.raises(ValueError, match="below every"):
             FiniteDcpoBot(p, 1)
-        with pytest.raises(ValueError, match="carrier"):
-            FiniteDcpoBot(p, 7)
+        for bad in (7, False, 0.0):
+            with pytest.raises(ValueError, match="carrier"):
+                FiniteDcpoBot(p, bad)
 
 
 class TestDirectedAndLub:
@@ -91,8 +92,9 @@ class TestMonotoneMap:
         c = chain(2)
         with pytest.raises(ValueError, match="length"):
             MonotoneMap(c, c, [0])
-        with pytest.raises(ValueError, match="outside target"):
-            MonotoneMap(c, c, [0, 5])
+        for bad in ([0, 5], [0.0, 1], [False, True]):
+            with pytest.raises(ValueError, match="outside target"):
+                MonotoneMap(c, c, bad)
 
     def test_lookup(self):
         f = MonotoneMap(chain(3), chain(2), [0, 0, 1])

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
-from conftest import engine_app_calls, shallow_stack
+from conftest import ADD_SRC, MUL_SRC, engine_app_calls, shallow_stack
 
 import pcfkit
 from pcfkit.frontend import cli
@@ -66,12 +66,6 @@ LAYERS = {"check": (), "compile": (), "step": ("opsem",), "run": ("opsem",),
           "denote": ("opsem", "scott", "lifting"),
           "adequacy": ("opsem", "scott", "lifting"),
           "sound": ("opsem", "scott", "lifting"), "eq": ("wtypes",)}
-
-
-ADD_SRC = """
-(fix \\f:nat -> nat -> nat. \\x:nat. \\y:nat.
-  ifz x (succ (f x (pred y))) y)
-"""
 
 
 class TestParse:
@@ -548,10 +542,8 @@ class TestCli:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "eta 3\n", "")
 
     def test_adequacy_with_a_short_step_budget(self, capsys, tmp_path):
-        mul_src = (r"(fix \m:nat -> nat -> nat. \x:nat. \y:nat."
-                   f" ifz #0 ({ADD_SRC} x (m x (pred y))) y) #3 #3\n")
         src = tmp_path / "mul.pcf"
-        src.write_text(mul_src)
+        src.write_text(f"{MUL_SRC} #3 #3\n")
         code, out, _ = self.run_cli(capsys, "adequacy", str(src),
                                     "--fuel", "8", "--max-steps", "3000")
         assert (code, out) == (1, "inconclusive denotes eta 9 but 3000 steps"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import collector_off, engine_app_calls
+from conftest import ADD_SRC, MUL_SRC, collector_off, engine_app_calls
 from pcfkit import opsem, syntax
 from pcfkit.frontend import cli, elaborate, parse
 from pcfkit.opsem import (
@@ -22,13 +22,6 @@ from pcfkit.syntax import (
 NN = Arrow(Iota, Iota)
 FIX_SUCC = App(Fix(Iota), Succ)
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
-
-# Addition and multiplication by recursion on the second argument, as in
-# the benchmark; call-by-name makes mul n n blow up in n.
-ADD_SRC = (r"(fix \f:nat -> nat -> nat. \x:nat. \y:nat."
-           r" ifz x (succ (f x (pred y))) y)")
-MUL_SRC = (r"(fix \m:nat -> nat -> nat. \x:nat. \y:nat."
-           r" ifz #0 (" + ADD_SRC + r" x (m x (pred y))) y)")
 
 
 def mul_term(n):
@@ -603,6 +596,10 @@ def test_numeral_only_runs_agree_with_full_runs_on_the_fuzz_corpora():
     r"fix \x:nat. pred x",
     r"fix \x:nat. ifz #0 #1 x",
     r"(fix \f:nat -> nat. f) #0",
+    r"fix \x:nat. x",                      # closed at the root by k
+    r"ifz (fix succ) #1 #0",                # fix succ reached by ifz
+    r"(\x:nat. x) (fix \x:nat. x)",         # closed at a pending pair
+    r"succ ((\x:nat. x) (fix \x:nat. x))",  # the same, at an entered child
 ])
 def test_numeral_only_runs_stop_at_the_first_sign_of_divergence(src):
     t = FIX_SUCC if src is None else elaborate(parse(src))

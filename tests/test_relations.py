@@ -130,13 +130,17 @@ def test_edge_bounds_checked():
         FiniteRelation(2, ((0, 5),))
     with pytest.raises(ValueError):
         FiniteRelation(node_count=2, edges=((-1, 0),))
+    with pytest.raises(ValueError):
+        FiniteRelation(2.5, ((2, 0),))
     assert FiniteRelation(edges=((0, 1), (1, 2)), node_count=3) == CHAIN
 
 
 def test_edge_bounds_checked_by_position_or_keyword():
     for make in (lambda: FiniteRelation(2, ((0, 2),)),
                  lambda: FiniteRelation(2, edges=((2, 0),)),
-                 lambda: FiniteRelation(edges=((0, -1),), node_count=2)):
+                 lambda: FiniteRelation(edges=((0, -1),), node_count=2),
+                 lambda: FiniteRelation(2, ((0.5, 1),)),
+                 lambda: FiniteRelation(2, ((True, 0),))):
         with pytest.raises(ValueError, match="out of range"):
             make()
     assert FiniteRelation(2, edges=((1, 0),)).edges == ((1, 0),)

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (
-    _forget_values, _subterms, collector_off, recursive_function,
-    recursive_programs, shallow_stack,
+    ADD_SRC, MUL_SRC, _forget_values, _subterms, collector_off,
+    recursive_function, recursive_programs, shallow_stack,
 )
 from pcfkit import opsem, scott
 from pcfkit.frontend import elaborate, parse
@@ -25,10 +25,6 @@ from pcfkit.syntax import (
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
-ADD = (r"(fix \f:nat -> nat -> nat. \x:nat. \y:nat."
-       r" ifz x (succ (f x (pred y))) y)")
-MUL = (r"(fix \m:nat -> nat -> nat. \x:nat. \y:nat."
-       r" ifz #0 (" + ADD + r" x (m x (pred y))) y)")
 FIX_SUCC = App(Fix(Iota), Succ)
 # fix (k 7): one unrolling then a k step; defined from fuel 1 up
 CONST7 = App(Fix(Iota), App(K(Iota, Iota), numeral(7)))
@@ -223,8 +219,9 @@ def _recursive_corpus():
     add and mul, and base-type fixes over a recursion."""
     rng = random.Random(88)
     sources = recursive_programs(rng, 60) + [
-        f"{ADD} #2 #3", f"{ADD} #4 #17", f"{MUL} #2 #3", f"{MUL} #3 #2",
-        rf"fix \z:nat. {ADD} #2 #3",
+        f"{ADD_SRC} #2 #3", f"{ADD_SRC} #4 #17", f"{MUL_SRC} #2 #3",
+        f"{MUL_SRC} #3 #2",
+        rf"fix \z:nat. {ADD_SRC} #2 #3",
         rf"fix \z:nat. succ ({recursive_function(rng)} #12)",
     ]
     return [elaborate(parse(src)) for src in sources]
@@ -280,7 +277,7 @@ def test_add_commits_at_exactly_one_iterate_per_call():
     # count negative.
     for k in range(41):
         for x in (0, 2, 7):
-            t = elaborate(parse(f"{ADD} #{x} #{k}"))
+            t = elaborate(parse(f"{ADD_SRC} #{x} #{k}"))
             interp = Interpreter()
             assert interp.denote_base(t, k + 1) == unit(x + k), (x, k)
             assert interp.denote_base(t, k) == BOT, (x, k)
@@ -375,7 +372,7 @@ def test_a_shared_subterm_is_not_applied_again(monkeypatch):
         return apply(f, a)
 
     monkeypatch.setattr(scott, "_apply", recorded)
-    t = elaborate(parse(rf"{ADD} (fix \z:nat. #7) #20"))
+    t = elaborate(parse(rf"{ADD_SRC} (fix \z:nat. #7) #20"))
     interp = Interpreter()
     base_fixes = []  # per fuel, how often fix z. 7 was applied
     for fuel in range(41):
@@ -589,9 +586,9 @@ class TestSoundness:
     def test_a_run_is_checked_to_its_end(self):
         # add #2 #400 takes 584,628 steps and mul #5 #5 6,808,981: the
         # check costs what the finished subterms cost, not the steps
-        add = elaborate(parse(f"{ADD} #2 #400"))
+        add = elaborate(parse(f"{ADD_SRC} #2 #400"))
         assert check_soundness(add, 600_000, 401) == Verdict("ok", 402)
-        mul = elaborate(parse(f"{MUL} #5 #5"))
+        mul = elaborate(parse(f"{MUL_SRC} #5 #5"))
         assert check_soundness(mul, 10 ** 7, 21) == Verdict("ok", 25)
 
     @pytest.mark.parametrize("rule, wrong", [

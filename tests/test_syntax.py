@@ -271,6 +271,10 @@ def test_sexp_rejects_garbage():
                 "k", "(zero)", "(fix zero)", "(s iota iota)", "(frob iota)"):
         with pytest.raises(SexpError):
             parse_term_sexp(bad)
+    # an app with other than two items is a bad form, not a constant
+    for bad in ("(app succ)", "(app zero zero zero)"):
+        with pytest.raises(SexpError, match="bad form"):
+            parse_term_sexp(bad)
 
 
 def test_type_surface_rendering():
