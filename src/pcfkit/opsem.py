@@ -23,7 +23,6 @@ redex without plugging it back into a term (refocusing, Danvy and
 Nielsen 2004). The focus is interned only when it is a normal form or
 the budget is used up, because a frame pop, a memo entry or the return
 needs the term; the fix rule interns ``fix f``, which ``f (fix f)`` holds.
-In ``add 200 200`` that halves the terms built, with the same steps.
 
 The relation is call-by-name, so a run can reduce the same interned
 subterm to normal form many times over (the benchmark's ``mul 4 4``
@@ -53,19 +52,19 @@ the term built just before it in the same call. This serves ``step``,
 ``successors`` still derives each unrolling on its own.
 
 A caller that reads only whether a run ends at a numeral
-(``reaches_numeral``, and so the adequacy and semidecidability checks,
-and ``pcf run``) asks ``run_bounded`` for a numeral-only run. Such a
-run also marks each subterm it is still reducing in the memo, and stops
-with ``(None, max_steps)`` by one rule: when it meets a marked subterm
-again. A subterm met again while it is being reduced is a black hole in
-Launchbury's sense (1993, "A natural semantics for lazy evaluation"):
-its normal form would depend on itself, so the full run would use the
-whole budget and end at a term that still steps. The run looks for a
-mark at two places: at a child it is about to enter, and at the focus
-after each step, splice or rebuild. A loop can close at a pending
-focus too (after an ``s`` or a fix step), so a pending focus is looked
-up in the pool, which builds nothing: a marked term is a memo key, so
-it is alive and pooled. The run takes the ordinary fix step, so a
+(``reaches_numeral``, the adequacy and semidecidability checks, and
+``pcf run``) asks ``run_bounded`` for a numeral-only run. Such a run
+also marks each subterm it is still reducing in the memo, and stops
+with ``(None, max_steps)`` by one rule: when, with budget left, it
+meets a marked subterm again. A subterm met again while it is being
+reduced is a black hole in Launchbury's sense (1993, "A natural
+semantics for lazy evaluation"): its normal form would depend on
+itself, so no budget reaches a numeral. The run looks for a mark at
+two places: at a child it is about to enter, and at a focus that steps,
+after each step, splice or rebuild. A loop can close at a pending focus
+too (after an ``s`` or a fix step), so a pending focus is looked up in
+the pool, which builds nothing: a marked term is a memo key, so it is
+alive and pooled. The run takes the ordinary fix step, so a
 ``fix f`` that unrolls inside itself is entered and marked, and its
 next unrolling meets the mark. The check is sound but not complete: a
 loop whose terms keep growing, such as
@@ -253,24 +252,26 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
     whether the final term is a numeral. The run marks the start term,
     and each subterm it enters through a congruence rule, as in progress
     in the memo; a frame that pops on a normal form replaces the mark
-    with the usual entry. It returns ``(None, max_steps)`` at once when
-    it meets a marked term, at one of two places: a child it is about to
-    enter, and, past the start, the focus at the loop head, after a
-    contraction, a memo splice or a frame rebuild. A pending focus can
-    close a loop too (``(\\x:nat. x) (fix \\x:nat. x)`` comes back to
-    itself as the pair the fix step gives), so it is looked up in the
-    pool with ``syntax._pooled``, which builds nothing: a marked term is
-    a memo key, so it is alive and pooled, and a pair with no pooled
-    term cannot be marked. This is exact: such a term X was reached
-    from the marked one in at least one step (a proper subterm cannot
-    equal its whole), and by the invariant above the steps X takes to
-    its normal form are at least one more than its own, so X has none
-    and the full run ends with the budget used up, at a term that still
-    steps. Once the budget is used up, a frame that pops leaves its mark
-    behind, and the focus may meet such a mark while its term would
-    still reach a normal form; but a marked term steps, and the focus is
-    in a congruence position of the final term, so the full run also
-    ends at a term that still steps. The run takes the ordinary fix step, not the shortcut: when
+    with the usual entry. While budget is left, it returns
+    ``(None, max_steps)`` at once when it meets a marked term, at one of
+    two places: a child it is about to enter, and, past the start, a
+    focus that steps, after a contraction, a memo splice or a frame
+    rebuild (a marked term steps, so a normal form is not looked up). A
+    pending focus can close a loop too (``(\\x:nat. x) (fix \\x:nat. x)``
+    comes back to itself as the pair the fix step gives), so it is
+    looked up in the pool with ``syntax._pooled``, which builds nothing:
+    a marked term is a memo key, so it is alive and pooled, and a pair
+    with no pooled term cannot be marked. This is exact: only a frame
+    that pops on an exhausted budget leaves its mark behind, and no
+    check is made after that, so the marked term X met is the start term
+    or one whose frame is still on the stack. The run has taken X, in at
+    least one step (a proper subterm cannot equal its whole), to a term
+    that holds X again in a congruence position, so by the invariant
+    above the steps X takes to its normal form are at least one more
+    than its own: X has none, nor has the whole term, which holds X in a
+    congruence position, and no budget reaches a numeral. A loop that
+    closes on the last step of the budget is not looked for, and the run
+    returns what the full run returns. The run takes the ordinary fix step, not the shortcut: when
     ``f (fix f)`` steps inside ``fix f``, the run enters ``fix f``
     through a congruence rule and marks it, and the next unrolling
     meets the mark as a child: ``fix succ`` stops after its first
@@ -284,12 +285,6 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
     if numeral_only:
         memo[t] = _BUSY
     while True:
-        # past the start, the focus was reached in at least one step
-        # from each subterm marked in progress, so if it is one of them
-        # that one never reaches a normal form
-        if numeral_only and steps and memo.get(
-                _pooled(fun, arg) if cur is None else cur) is _BUSY:
-            return None, max_steps
         if cur is None:
             r = _app_rule(fun, arg)
         else:
@@ -310,6 +305,12 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
                 fun, arg = other, cur
             cur = None
             continue
+        # past the start, the focus was reached in at least one step
+        # from each subterm marked in progress, so if it is one of them
+        # that one never reaches a normal form
+        if numeral_only and steps and memo.get(
+                _pooled(fun, arg) if cur is None else cur) is _BUSY:
+            return None, max_steps
         while r in CONGRUENCE_RULES:
             if r is _AL:
                 child, other, cur_is_fun = fun, arg, True
@@ -403,10 +404,10 @@ def run_bounded(t: Term, max_steps: int, *, numeral_only=False):
 
     With ``numeral_only``, for a caller that reads only whether the run
     ends at a numeral, the run may stop early and return
-    ``(None, max_steps)``. It does so only where the full run would use
-    the whole budget and end at a term that still steps, so never at a
-    numeral: when it re-enters a subterm it is still reducing (see
-    _run_pure). Otherwise it returns what the full run returns.
+    ``(None, max_steps)``. It does so only when no budget reaches a
+    numeral: when, with budget left, it re-enters a subterm it is still
+    reducing (see _run_pure). Otherwise it returns what the full run
+    returns.
     """
     return run_memo(t, max_steps, numeral_only=numeral_only)[:2]
 
@@ -416,7 +417,7 @@ def reaches_numeral(t: Term, k: int):
 
     Runs run_bounded with ``numeral_only``, so a run that re-enters a
     subterm it is still reducing answers None at once instead of after
-    k steps. An ill-typed t is a TypeMismatch that names the offending
+    k steps; then no budget reaches a numeral. An ill-typed t is a TypeMismatch that names the offending
     application, as in scott.denote, and a well-typed t of arrow type a
     WrongType.
     """

@@ -38,12 +38,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+# the adequacy and semidecidability checks call `opsem.run_bounded` by
+# its module name, which pcfbench's tracer wraps
+from . import opsem
 from .lifting import BOT, kleisli, fmap, render, unit
 # pcfbench's tracer wraps `reduce` under this module's name, and its
 # install fails without it; the `opsem.reduce` span of the `denote`
 # workload comes only from check_soundness's `reduce(s, 1)`. Both go
 # when the tracer's patch list changes (ROADMAP item 1).
-from .opsem import reaches_numeral, reduce, run_memo
+from .opsem import reduce, run_memo
 from .syntax import (
     Arrow, Iota, Record, _check_base, _check_natural, fold, type_of,
     term_to_sexp, weak_pool,
@@ -358,13 +361,21 @@ def check_soundness(s, max_steps, fuel):
 
 
 def check_adequacy(t, fuel, max_steps):
-    """A committed denotation must be realized operationally; a run
+    """A committed denotation must be realized operationally.
+
+    A numeral-only run that stops early means that no budget reaches a
+    numeral, so next to a committed denotation it is a violation; a run
     still stepping when its budget ends makes the check inconclusive."""
     _check_natural(max_steps, "step budget")
     v = denote_base(t, fuel)
     if not v.defined:
         return Verdict("vacuous")
-    m = reaches_numeral(t, max_steps)
+    final, _ = opsem.run_bounded(t, max_steps, numeral_only=True)
+    if final is None:
+        return Verdict(
+            "violation", v.value,
+            f"denotes eta {v.value} but the run never reaches a numeral")
+    m = final.numeral
     if m == v.value:
         return Verdict("ok", v.value)
     return Verdict(
@@ -374,10 +385,19 @@ def check_adequacy(t, fuel, max_steps):
 
 
 def check_semidecidability(t, fuel, max_steps):
-    """The two semi-decision procedures must agree when both commit."""
+    """The two semi-decision procedures must agree when both commit.
+
+    A numeral-only run that stops early means that no budget reaches a
+    numeral, so next to a committed denotation it is a violation."""
     _check_natural(max_steps, "step budget")
     den = denote_base(t, fuel)
-    opn = reaches_numeral(t, max_steps)
+    final, _ = opsem.run_bounded(t, max_steps, numeral_only=True)
+    if final is None and den.defined:
+        return Verdict(
+            "violation", den.value,
+            f"denotation eta {den.value} but the run never reaches"
+            " a numeral")
+    opn = None if final is None else final.numeral
     if den.defined and opn is not None:
         if den.value == opn:
             return Verdict("ok", opn)

@@ -81,6 +81,12 @@ class TestDirectedAndLub:
     def test_lub_missing(self):
         assert lub(ANTICHAIN2, {0, 1}) is None
 
+    def test_elements_outside_the_carrier_are_refused(self):
+        with pytest.raises(ValueError, match="outside carrier"):
+            lub(chain(2).poset, [2])
+        with pytest.raises(ValueError, match="outside carrier"):
+            check_directed(chain(2).poset, [-1])
+
 
 class TestMonotoneMap:
     def test_rejects_order_reversal(self):

@@ -115,12 +115,19 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse("-- note")
         assert str(exc.value) == "unexpected end of input at line 1, column 8"
+        with pytest.raises(ParseError) as exc:
+            parse("\\x:foo. x")
+        assert str(exc.value) == (
+            "expected a type, found 'foo' at line 1, column 4")
 
     def test_unbound_variables(self):
         with pytest.raises(UnboundVariable, match="'y'"):
             parse("\\x:nat. y")
         with pytest.raises(UnboundVariable, match="'x'"):
             parse("(\\x:nat. x) x")
+        # a surface term built by hand is checked when it is elaborated
+        with pytest.raises(UnboundVariable, match="'x'"):
+            elaborate(Var("x"))
 
     def test_malformed_programs(self):
         bad = ["", "(zero", "\\x:nat x", "\\x. x", "#", "zero)",
@@ -256,6 +263,10 @@ class TestElaborate:
             assert elaborate(abstracted).ty.domain is Iota
         final, _ = run_bounded(elaborate(lambdas), 10**6)
         assert final is numeral(1)
+
+    def test_only_surface_terms_elaborate(self):
+        with pytest.raises(TypeError, match="not a surface term"):
+            elaborate(42)
 
     def test_function_type_error_comes_before_the_argument(self):
         # the function part is checked before the argument is lowered,

@@ -574,9 +574,11 @@ def test_memo_is_exact_at_scale(capsys, tmp_path):
 
 
 def test_numeral_only_runs_agree_with_full_runs_on_the_fuzz_corpora():
-    # a numeral-only run may stop early only where the full run uses the
-    # whole budget and ends at a term that still steps
+    # a numeral-only run may stop early only where no budget reaches a
+    # numeral: the full run uses the whole budget and ends at a term that
+    # still steps, and a larger budget reaches no numeral either
     early = 0
+    stopped = set()
     for rng, terms in fuzz_corpora():
         for t in terms:
             for k in (0, 1, 2, 7, 100, 2000, 10_000, rng.randrange(3000)):
@@ -584,11 +586,26 @@ def test_numeral_only_runs_agree_with_full_runs_on_the_fuzz_corpora():
                 want = run_bounded(t, k)
                 if got[0] is None:
                     early += 1
+                    stopped.add(t)
                     assert got[1] == want[1] == k, (t, k)
                     assert want[0].rule is not None, (t, k)
                 else:
                     assert got == want, (t, k)
     assert early > 1000
+    for t in stopped:
+        final, _ = run_bounded(t, 10 ** 5, numeral_only=True)
+        assert final is None or final.numeral is None, t
+
+
+def test_a_numeral_only_run_stops_early_only_with_budget_left():
+    # pred (fix pred) comes back to itself in one step, the fix step; at
+    # budget 1 that step spends the budget, and the run returns what the
+    # full run returns
+    fix_pred = App(Fix(Iota), Pred)
+    t = App(Pred, fix_pred)
+    spent = (App(Pred, App(Pred, fix_pred)), 1)
+    assert run_bounded(t, 1, numeral_only=True) == spent == run_bounded(t, 1)
+    assert run_bounded(t, 2, numeral_only=True) == (None, 2)
 
 
 @pytest.mark.parametrize("src", [

@@ -11,7 +11,7 @@ from conftest import (
     recursive_function, recursive_programs, shallow_stack,
 )
 from pcfkit import opsem, scott
-from pcfkit.frontend import elaborate, parse
+from pcfkit.frontend import cli, elaborate, parse
 from pcfkit.lifting import BOT, leq, unit
 from pcfkit.opsem import WrongType, reaches_numeral
 from pcfkit.scott import (
@@ -28,6 +28,15 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 FIX_SUCC = App(Fix(Iota), Succ)
 # fix (k 7): one unrolling then a k step; defined from fuel 1 up
 CONST7 = App(Fix(Iota), App(K(Iota, Iota), numeral(7)))
+
+
+def wrong_rule(monkeypatch, rule, wrong):
+    """Make the engine contract App(f, a) by rule to wrong(f, a); it
+    contracts every redex from its parts."""
+    contract = opsem._contract
+    monkeypatch.setattr(
+        opsem, "_contract",
+        lambda f, a, r: wrong(f, a) if r is rule else contract(f, a, r))
 
 
 def test_numerals_denote_themselves_at_zero_fuel():
@@ -597,16 +606,63 @@ class TestSoundness:
     ], ids=["pred-succ", "ifz-zero"])
     def test_a_wrong_contraction_is_a_violation(self, monkeypatch, rule,
                                                 wrong):
-        # the engine contracts App(f, a) from its parts
-        contract = opsem._contract
-        monkeypatch.setattr(
-            opsem, "_contract",
-            lambda f, a, r: wrong(f, a) if r is rule else contract(f, a, r))
+        wrong_rule(monkeypatch, rule, wrong)
         rng = random.Random(200)  # criterion 4's corpus
         found = [v for v in (check_soundness(random_term(rng, Iota, depth=6),
                                              2000, 32) for _ in range(200))
                  if v.status == "violation"]
         assert found and all(" ⇝* " in v.detail for v in found)
+
+
+def test_a_wrong_contraction_fails_the_checks_and_the_cli(
+        monkeypatch, capsys, tmp_path):
+    # pred (succ n) ~> succ n: pred #1 denotes eta 0 and reaches 1
+    wrong_rule(monkeypatch, RuleName.PredSucc, lambda f, a: a)
+    t = App(Pred, numeral(1))
+    assert check_semidecidability(t, 8, 10) == Verdict(
+        "violation", 0, "denotation eta 0 vs operational 1")
+    assert check_adequacy(t, 8, 10) == Verdict(
+        "violation", 0, "denotes eta 0 but 10 steps reach 1")
+    src = tmp_path / "pred.pcf"
+    src.write_text("pred #1\n", encoding="utf-8")
+    for cmd in ("sound", "adequacy"):
+        assert cli.main([cmd, str(src)]) == 4
+        out, err = capsys.readouterr()
+        assert out.startswith("VIOLATION ") and err == "", cmd
+
+
+def test_a_looping_engine_is_a_violation(monkeypatch, capsys, tmp_path):
+    # a k rule that gives back its own redex: the run of k #3 #0 meets
+    # its start term again after one step, so no budget reaches a
+    # numeral, while the term denotes eta 3
+    wrong_rule(monkeypatch, RuleName.KRule, App)
+    t = App(App(K(Iota, Iota), numeral(3)), numeral(0))
+    for check in (check_adequacy, check_semidecidability):
+        v = check(t, 0, 100)
+        assert (v.status, v.value) == ("violation", 3), check
+        assert v.detail.endswith("never reaches a numeral"), check
+    src = tmp_path / "k.pcf"
+    src.write_text("(\\x:nat. \\y:nat. x) #3 #0\n", encoding="utf-8")
+    assert cli.main(["adequacy", str(src)]) == 4
+    out, err = capsys.readouterr()
+    assert out.startswith("VIOLATION ") and err == ""
+
+
+def test_the_checks_run_through_the_module_name(monkeypatch):
+    # pcfbench's tracer times the runs of the adequacy and
+    # semidecidability checks by wrapping opsem.run_bounded, so they
+    # must call it by that name
+    calls = []
+    run_bounded = opsem.run_bounded
+
+    def counted(t, k, **kwargs):
+        calls.append(kwargs)
+        return run_bounded(t, k, **kwargs)
+
+    monkeypatch.setattr(opsem, "run_bounded", counted)
+    assert check_adequacy(CONST7, 5, 10) == Verdict("ok", 7)
+    assert check_semidecidability(CONST7, 5, 10) == Verdict("ok", 7)
+    assert calls == [{"numeral_only": True}] * 2
 
 
 def test_a_step_budget_that_is_not_a_natural_is_refused():

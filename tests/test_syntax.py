@@ -275,6 +275,11 @@ def test_sexp_rejects_garbage():
     for bad in ("(app succ)", "(app zero zero zero)"):
         with pytest.raises(SexpError, match="bad form"):
             parse_term_sexp(bad)
+    with pytest.raises(SexpError, match="unbalanced '\\)'"):
+        parse_term_sexp(")")
+    for bad in ("()", "((arr iota iota) zero)"):
+        with pytest.raises(SexpError, match="empty or headless form"):
+            parse_term_sexp(bad)
 
 
 def test_type_surface_rendering():

@@ -145,6 +145,9 @@ def test_validator_rejects_misplaced_child():
     bad = WTree(w.head, (w.children[0], encode_term(Succ)))
     with pytest.raises(InvalidTree, match="expected"):
         validate(TERM_SPEC, bad)
+    for bad in ("x", WTree(w.head, (w.children[0], "x"))):
+        with pytest.raises(InvalidTree, match="not a WTree"):
+            validate(TERM_SPEC, bad)
 
 
 def test_validator_rejects_bad_arity():
