@@ -47,27 +47,26 @@ the k steps left at once, with no frame per unrolling, through
 ``syntax._unroll``: it walks up the part of the chain the pool already
 holds, builds the first missing term through ``App``, and enters each
 later one with no pool lookup, which could not hit, since its key holds
-the term built just before it in the same call. This serves ``step``,
-``reduce`` and every ``run_bounded`` run but a numeral-only one, and
-``successors`` still derives each unrolling on its own.
+the term built just before it in the same call. Every run takes it
+unless it stops early (below), and ``successors`` still derives each
+unrolling on its own.
 
 A caller that reads only whether a run ends at a numeral
 (``reaches_numeral``, the adequacy and semidecidability checks, and
 ``pcf run``) asks ``run_bounded`` for a numeral-only run. Such a run
 also marks each subterm it is still reducing in the memo, and stops
 with ``(None, max_steps)`` by one rule: when, with budget left, it
-meets a marked subterm again. A subterm met again while it is being
-reduced is a black hole in Launchbury's sense (1993, "A natural
-semantics for lazy evaluation"): its normal form would depend on
-itself, so no budget reaches a numeral. The run looks for a mark at
-two places: at a child it is about to enter, and at a focus that steps,
-after each step, splice or rebuild. A loop can close at a pending focus
-too (after an ``s`` or a fix step), so a pending focus is looked up in
-the pool, which builds nothing: a marked term is a memo key, so it is
-alive and pooled. The run takes the ordinary fix step, so a
-``fix f`` that unrolls inside itself is entered and marked, and its
-next unrolling meets the mark. The check is sound but not complete: a
-loop whose terms keep growing, such as
+would meet a subterm it is still reducing again. Such a subterm is a
+black hole in Launchbury's sense (1993, "A natural semantics for lazy
+evaluation"): its normal form would depend on itself, so no budget
+reaches a numeral. The rule takes two forms. The run meets a marked
+subterm as a child it is about to enter, or as a focus that steps,
+after each step, splice or rebuild; a pending focus (after an ``s`` or
+a fix step) is looked up in the pool, which builds nothing, since a
+marked term is a memo key and so alive and pooled. Or, with two steps
+or more left, it reaches a ``fix f`` that unrolls inside itself, which
+the step after the unrolling would enter. The check is sound but not
+complete: a loop whose terms keep growing, such as
 ``(fix \\g:nat -> nat. \\n:nat. g (succ n)) #0``, meets no subterm again
 and runs until its budget is used up.
 
@@ -236,47 +235,44 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
     memo-free run at every budget. run_bounded passes a fresh memo on
     each call.
 
-    The fix rule takes one shortcut, except in a numeral-only run. When
-    ``fix f ~> f (fix f)`` gives a term that steps inside its argument
-    (f is succ, pred or ifz s t), every step left unrolls that same
-    ``fix f`` once more, so the budget runs out there, at
-    ``f^k (fix f)`` for the k steps left. The zipper builds that term
-    with ``syntax._unroll``, which looks the chain up in the pool only
-    as far as its first missing term (every later key holds a term built
-    in the same call, so no lookup could hit), and sets the step count
-    to the budget. The frames above it then pop on an exhausted budget
-    and store no memo entry, just as after k single steps. Such a
-    ``fix f`` never reaches a normal form, so the memo never holds it.
+    The fix rule takes one shortcut. When ``fix f ~> f (fix f)`` gives a
+    term that steps inside its argument (f is succ, pred or ifz s t),
+    every step left unrolls that same ``fix f`` once more, so the budget
+    runs out there, at ``f^k (fix f)`` for the k steps left. The zipper
+    builds that term with ``syntax._unroll``, which looks the chain up
+    in the pool only as far as its first missing term (every later key
+    holds a term built in the same call, so no lookup could hit), and
+    sets the step count to the budget. The frames above it then pop on
+    an exhausted budget and store no memo entry, just as after k single
+    steps. Such a ``fix f`` never reaches a normal form, so the memo
+    never holds it.
 
     ``numeral_only`` (with a memo) is for a caller that reads only
     whether the final term is a numeral. The run marks the start term,
     and each subterm it enters through a congruence rule, as in progress
     in the memo; a frame that pops on a normal form replaces the mark
     with the usual entry. While budget is left, it returns
-    ``(None, max_steps)`` at once when it meets a marked term, at one of
-    two places: a child it is about to enter, and, past the start, a
-    focus that steps, after a contraction, a memo splice or a frame
-    rebuild (a marked term steps, so a normal form is not looked up). A
-    pending focus can close a loop too (``(\\x:nat. x) (fix \\x:nat. x)``
-    comes back to itself as the pair the fix step gives), so it is
-    looked up in the pool with ``syntax._pooled``, which builds nothing:
-    a marked term is a memo key, so it is alive and pooled, and a pair
-    with no pooled term cannot be marked. This is exact: only a frame
-    that pops on an exhausted budget leaves its mark behind, and no
-    check is made after that, so the marked term X met is the start term
-    or one whose frame is still on the stack. The run has taken X, in at
-    least one step (a proper subterm cannot equal its whole), to a term
-    that holds X again in a congruence position, so by the invariant
-    above the steps X takes to its normal form are at least one more
-    than its own: X has none, nor has the whole term, which holds X in a
-    congruence position, and no budget reaches a numeral. A loop that
-    closes on the last step of the budget is not looked for, and the run
-    returns what the full run returns. The run takes the ordinary fix step, not the shortcut: when
-    ``f (fix f)`` steps inside ``fix f``, the run enters ``fix f``
-    through a congruence rule and marks it, and the next unrolling
-    meets the mark as a child: ``fix succ`` stops after its first
-    unrolling, and a ``fix f`` reached by a contraction after its
-    second.
+    ``(None, max_steps)`` at once when it would meet again a term X it
+    is still reducing, in one of two forms. X is marked, and met as a
+    child the run is about to enter or, past the start, as a focus that
+    steps, after a contraction, a memo splice or a frame rebuild (a
+    marked term steps, so a normal form is not looked up). A pending
+    focus can close a loop too (``(\\x:nat. x) (fix \\x:nat. x)`` comes
+    back to itself as the pair the fix step gives), so it is looked up
+    in the pool with ``syntax._pooled``, which builds nothing: a marked
+    term is a memo key, so it is alive and pooled, and a pair with no
+    pooled term cannot be marked. Or X is a ``fix f`` that the shortcut
+    would unroll with two steps or more left, which the step after the
+    unrolling would enter. This is exact: only a frame that pops on an
+    exhausted budget leaves its mark behind, and no check is made after
+    that, so a marked X is the start term or one whose frame is still on
+    the stack. Either way X reduces, in at least one step (a proper
+    subterm cannot equal its whole), to a term that holds X again in a
+    congruence position, so by the invariant above the steps X takes to
+    its normal form are at least one more than its own: X has none, nor
+    has the whole term, which holds X in a congruence position, and no
+    budget reaches a numeral. A loop that closes on the budget's last
+    step is not looked for: the run returns what the full run returns.
     """
     cur = t
     fun = arg = None  # the parts of a pending focus, when cur is None
@@ -340,9 +336,11 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
             if r is _FIX:
                 # fix f, interned once: f (fix f) and the unrolling hold it
                 fx = App(fun, arg) if cur is None else cur
-                if not numeral_only and _app_rule(arg, fx) in _INTO_ARG:
+                if _app_rule(arg, fx) in _INTO_ARG:
                     # f (fix f) steps inside fix f, so every step left
                     # unrolls it once more: the budget runs out here
+                    if numeral_only and steps + 1 < max_steps:
+                        return None, max_steps
                     cur = syntax._unroll(arg, fx, max_steps - steps)
                     steps = max_steps
                 else:
@@ -405,9 +403,9 @@ def run_bounded(t: Term, max_steps: int, *, numeral_only=False):
     With ``numeral_only``, for a caller that reads only whether the run
     ends at a numeral, the run may stop early and return
     ``(None, max_steps)``. It does so only when no budget reaches a
-    numeral: when, with budget left, it re-enters a subterm it is still
-    reducing (see _run_pure). Otherwise it returns what the full run
-    returns.
+    numeral: when, with budget left, it would re-enter a subterm it is
+    still reducing, such as a ``fix f`` that unrolls inside itself (see
+    _run_pure). Otherwise it returns what the full run returns.
     """
     return run_memo(t, max_steps, numeral_only=numeral_only)[:2]
 
@@ -415,11 +413,12 @@ def run_bounded(t: Term, max_steps: int, *, numeral_only=False):
 def reaches_numeral(t: Term, k: int):
     """n if t reduces to the numeral n within k steps, else None.
 
-    Runs run_bounded with ``numeral_only``, so a run that re-enters a
-    subterm it is still reducing answers None at once instead of after
-    k steps; then no budget reaches a numeral. An ill-typed t is a TypeMismatch that names the offending
-    application, as in scott.denote, and a well-typed t of arrow type a
-    WrongType.
+    Runs run_bounded with ``numeral_only``, so a run that would re-enter
+    a subterm it is still reducing, such as a ``fix f`` that unrolls
+    inside itself, answers None at once instead of after k steps: no
+    budget reaches a numeral. An ill-typed t is a TypeMismatch that
+    names the offending application, as in scott.denote, and a
+    well-typed t of arrow type a WrongType.
     """
     _check_base(t, "reaches_numeral")
     final, _ = run_bounded(t, k, numeral_only=True)

@@ -8,6 +8,8 @@ area, where pytest's output capture cannot swallow them.
 ``engine_app_calls`` counts the terms a run of the engine makes.
 ``_subterms`` lists a term's distinct subterms and ``_forget_values``
 clears the denotations `scott` keeps on terms.
+``small_terms`` lists every closed term of a type with a given number
+of nodes.
 ``recursive_function`` and ``recursive_programs`` write surface
 programs that recurse on a numeral, so that their denotations commit
 only at fuels well past one unrolling of `fix`. ``ADD_SRC`` and
@@ -17,6 +19,7 @@ only at fuels well past one unrolling of `fix`. ``ADD_SRC`` and
 import gc
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 
 ACCEPTANCE_RESULTS = []
 
@@ -100,6 +103,28 @@ def _forget_values(terms):
     each of these terms."""
     for x in terms:
         x.value, x.since = None, float("inf")
+
+
+@lru_cache(maxsize=None)
+def small_terms(ty, size):
+    """Every closed term of type ty with exactly ``size`` nodes (an
+    application counts one node more than its two parts), in a fixed
+    order: the constants, then the applications whose argument type is
+    nat, nat -> nat, nat -> nat -> nat, (nat -> nat) -> nat or
+    (nat -> nat) -> nat -> nat, by argument type, then by the size of
+    the function part."""
+    from pcfkit.syntax import App, Arrow, Iota, Zero, _constants_at, constant
+
+    if size == 1:
+        heads = [Zero] if ty is Iota else []
+        return tuple(heads + [constant(*g) for g in _constants_at(ty)])
+    nn = Arrow(Iota, Iota)
+    out = []
+    for a in (Iota, nn, Arrow(Iota, nn), Arrow(nn, Iota), Arrow(nn, nn)):
+        for n in range(1, size - 1):
+            for f in small_terms(Arrow(a, ty), n):
+                out += [App(f, x) for x in small_terms(a, size - 1 - n)]
+    return tuple(out)
 
 
 # one-hole contexts around the recursive call; a second {} is the same hole

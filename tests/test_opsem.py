@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ADD_SRC, MUL_SRC, collector_off, engine_app_calls
+from conftest import (
+    ADD_SRC, MUL_SRC, collector_off, engine_app_calls, small_terms,
+)
 from pcfkit import opsem, syntax
 from pcfkit.frontend import cli, elaborate, parse
 from pcfkit.opsem import (
@@ -573,28 +575,43 @@ def test_memo_is_exact_at_scale(capsys, tmp_path):
     assert (code, capsys.readouterr().out) == (0, "25\n")
 
 
-def test_numeral_only_runs_agree_with_full_runs_on_the_fuzz_corpora():
-    # a numeral-only run may stop early only where no budget reaches a
-    # numeral: the full run uses the whole budget and ends at a term that
-    # still steps, and a larger budget reaches no numeral either
+def assert_numeral_only_runs_agree(cases):
+    """Run each (term, budget) numeral-only and in full, and return how
+    many numeral-only runs stopped early.
+
+    A numeral-only run may stop early only where no budget reaches a
+    numeral: the full run uses the whole budget and ends at a term that
+    still steps, and a larger budget reaches no numeral either."""
     early = 0
     stopped = set()
-    for rng, terms in fuzz_corpora():
-        for t in terms:
-            for k in (0, 1, 2, 7, 100, 2000, 10_000, rng.randrange(3000)):
-                got = run_bounded(t, k, numeral_only=True)
-                want = run_bounded(t, k)
-                if got[0] is None:
-                    early += 1
-                    stopped.add(t)
-                    assert got[1] == want[1] == k, (t, k)
-                    assert want[0].rule is not None, (t, k)
-                else:
-                    assert got == want, (t, k)
-    assert early > 1000
+    for t, k in cases:
+        got = run_bounded(t, k, numeral_only=True)
+        want = run_bounded(t, k)
+        if got[0] is None:
+            early += 1
+            stopped.add(t)
+            assert got[1] == want[1] == k, (t, k)
+            assert want[0].rule is not None, (t, k)
+        else:
+            assert got == want, (t, k)
     for t in stopped:
         final, _ = run_bounded(t, 10 ** 5, numeral_only=True)
         assert final is None or final.numeral is None, t
+    return early
+
+
+def test_numeral_only_runs_agree_with_full_runs_on_the_fuzz_corpora():
+    assert assert_numeral_only_runs_agree(
+        (t, k) for rng, terms in fuzz_corpora() for t in terms
+        for k in (0, 1, 2, 7, 100, 2000, 10_000, rng.randrange(3000))) > 1000
+
+
+def test_numeral_only_runs_agree_with_full_runs_on_all_small_terms():
+    assert [len(small_terms(Iota, n)) for n in range(1, 12)] == [
+        1, 0, 4, 0, 14, 0, 106, 0, 616, 0, 4245]
+    terms = [t for n in range(1, 12, 2) for t in small_terms(Iota, n)]
+    assert assert_numeral_only_runs_agree(
+        (t, k) for t in terms for k in (0, 1, 2, 3, 10, 100)) == 5589
 
 
 def test_a_numeral_only_run_stops_early_only_with_budget_left():
@@ -606,6 +623,13 @@ def test_a_numeral_only_run_stops_early_only_with_budget_left():
     spent = (App(Pred, App(Pred, fix_pred)), 1)
     assert run_bounded(t, 1, numeral_only=True) == spent == run_bounded(t, 1)
     assert run_bounded(t, 2, numeral_only=True) == (None, 2)
+    # k (fix succ) zero meets fix succ, which unrolls inside itself, after
+    # the k step: with one step left it unrolls like the full run, and
+    # with two it stops
+    t = App(App(K(Iota, Iota), FIX_SUCC), Zero)
+    spent = (App(Succ, FIX_SUCC), 2)
+    assert run_bounded(t, 2, numeral_only=True) == spent == run_bounded(t, 2)
+    assert run_bounded(t, 3, numeral_only=True) == (None, 3)
 
 
 @pytest.mark.parametrize("src", [
