@@ -59,14 +59,9 @@ with ``(None, max_steps)`` by one rule: when, with budget left, it
 would meet a subterm it is still reducing again. Such a subterm is a
 black hole in Launchbury's sense (1993, "A natural semantics for lazy
 evaluation"): its normal form would depend on itself, so no budget
-reaches a numeral. The rule takes two forms. The run meets a marked
-subterm as a child it is about to enter, or as a focus that steps,
-after each step, splice or rebuild; a pending focus (after an ``s`` or
-a fix step) is looked up in the pool, which builds nothing, since a
-marked term is a memo key and so alive and pooled. Or, with two steps
-or more left, it reaches a ``fix f`` that unrolls inside itself, which
-the step after the unrolling would enter. The check is sound but not
-complete: a loop whose terms keep growing, such as
+reaches a numeral. ``_run_pure``'s docstring states the rule, the
+three sites that check it and why it is exact. The check is sound but
+not complete: a loop whose terms keep growing, such as
 ``(fix \\g:nat -> nat. \\n:nat. g (succ n)) #0``, meets no subterm again
 and runs until its budget is used up.
 
@@ -91,7 +86,7 @@ from collections import namedtuple
 from . import syntax
 from .syntax import (
     CONGRUENCE_RULES, App, RuleName, Term, WrongType, _app_rule, _check_base,
-    _check_natural, _pooled,
+    _check_natural,
 )
 
 __all__ = [
@@ -251,28 +246,36 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
     whether the final term is a numeral. The run marks the start term,
     and each subterm it enters through a congruence rule, as in progress
     in the memo; a frame that pops on a normal form replaces the mark
-    with the usual entry. While budget is left, it returns
-    ``(None, max_steps)`` at once when it would meet again a term X it
-    is still reducing, in one of two forms. X is marked, and met as a
-    child the run is about to enter or, past the start, as a focus that
-    steps, after a contraction, a memo splice or a frame rebuild (a
-    marked term steps, so a normal form is not looked up). A pending
-    focus can close a loop too (``(\\x:nat. x) (fix \\x:nat. x)`` comes
-    back to itself as the pair the fix step gives), so it is looked up
-    in the pool with ``syntax._pooled``, which builds nothing: a marked
-    term is a memo key, so it is alive and pooled, and a pair with no
-    pooled term cannot be marked. Or X is a ``fix f`` that the shortcut
-    would unroll with two steps or more left, which the step after the
-    unrolling would enter. This is exact: only a frame that pops on an
-    exhausted budget leaves its mark behind, and no check is made after
-    that, so a marked X is the start term or one whose frame is still on
-    the stack. Either way X reduces, in at least one step (a proper
-    subterm cannot equal its whole), to a term that holds X again in a
-    congruence position, so by the invariant above the steps X takes to
-    its normal form are at least one more than its own: X has none, nor
-    has the whole term, which holds X in a congruence position, and no
-    budget reaches a numeral. A loop that closes on the budget's last
-    step is not looked for: the run returns what the full run returns.
+    with the usual entry. The stop rule: while budget is left, the run
+    returns ``(None, max_steps)`` at once when it would meet again a
+    term X that it is still reducing. Three sites check it:
+
+    * the loop head, past the start: the focus that steps, after a
+      contraction, a memo splice or a frame rebuild (each takes a step
+      or more), is back at X, the term its own depth entered (the start
+      term at the root, else the child of the top frame). Both are
+      applications, so their parts are compared, and a pending focus is
+      neither built nor looked up;
+    * a descent: X is the marked child the run is about to enter;
+    * the fix rule: X is a ``fix f`` that the shortcut would unroll with
+      two steps or more left, which the step after the unrolling would
+      enter.
+
+    This is exact. Only a frame that pops on an exhausted budget leaves
+    its mark behind, and no check is made after that, so a marked X is
+    the start term or a child whose frame is still on the stack. Either
+    way X reduces, in at least one step (a proper subterm cannot equal
+    its whole), to a term that holds X again in a congruence position,
+    so by the invariant above the steps X takes to its normal form are
+    at least one more than its own: X has none, nor has the whole term,
+    which holds X in a congruence position, and no budget reaches a
+    numeral. The loop head looks only for its own depth's X, and misses
+    none of the others for long: a focus that equals a marked X of a
+    shallower depth repeats X's steps, which do not depend on the
+    context, so it enters again the child whose frame sits just above
+    X's, and the descent check stops the run within one loop. If the
+    budget runs out first, the run returns what the full run returns,
+    as any run that ends on its budget does.
     """
     cur = t
     fun = arg = None  # the parts of a pending focus, when cur is None
@@ -301,12 +304,13 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
                 fun, arg = other, cur
             cur = None
             continue
-        # past the start, the focus was reached in at least one step
-        # from each subterm marked in progress, so if it is one of them
-        # that one never reaches a normal form
-        if numeral_only and steps and memo.get(
-                _pooled(fun, arg) if cur is None else cur) is _BUSY:
-            return None, max_steps
+        # past the start, a focus that is back at the term its depth
+        # entered never reaches a normal form; the focus steps, so it is
+        # an application, equal to that term when both parts are
+        if numeral_only and steps:
+            x = frames[-1][2] if frames else t
+            if fun is x.fun and arg is x.arg:
+                return None, max_steps
         while r in CONGRUENCE_RULES:
             if r is _AL:
                 child, other, cur_is_fun = fun, arg, True
@@ -403,9 +407,9 @@ def run_bounded(t: Term, max_steps: int, *, numeral_only=False):
     With ``numeral_only``, for a caller that reads only whether the run
     ends at a numeral, the run may stop early and return
     ``(None, max_steps)``. It does so only when no budget reaches a
-    numeral: when, with budget left, it would re-enter a subterm it is
-    still reducing, such as a ``fix f`` that unrolls inside itself (see
-    _run_pure). Otherwise it returns what the full run returns.
+    numeral, by the stop rule that _run_pure's docstring states: with
+    budget left, it would meet again a subterm it is still reducing.
+    Otherwise it returns what the full run returns.
     """
     return run_memo(t, max_steps, numeral_only=numeral_only)[:2]
 
@@ -413,10 +417,10 @@ def run_bounded(t: Term, max_steps: int, *, numeral_only=False):
 def reaches_numeral(t: Term, k: int):
     """n if t reduces to the numeral n within k steps, else None.
 
-    Runs run_bounded with ``numeral_only``, so a run that would re-enter
-    a subterm it is still reducing, such as a ``fix f`` that unrolls
-    inside itself, answers None at once instead of after k steps: no
-    budget reaches a numeral. An ill-typed t is a TypeMismatch that
+    Runs run_bounded with ``numeral_only``, so a run that meets again a
+    subterm it is still reducing (the stop rule in _run_pure's
+    docstring) answers None at once instead of after k steps: no budget
+    reaches a numeral. An ill-typed t is a TypeMismatch that
     names the offending application, as in scott.denote, and a
     well-typed t of arrow type a WrongType.
     """

@@ -87,7 +87,7 @@ class Func:
     across operations.  With values kept on terms that still pays: one
     pool per `Interpreter` in its place ran the `denote` benchmark
     workload at a third of the operations a second, with a peak RSS
-    about 45% higher (see ROADMAP item 3).  A fix for that leak must
+    about 45% higher (see ROADMAP item 5).  A fix for that leak must
     keep the hits across Interpreters.
     """
 

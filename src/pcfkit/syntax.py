@@ -30,8 +30,7 @@ every term: ``App`` interns an application itself, in one call, under
 the key ``(fun, arg)``, and ``constant`` interns a constant under
 ``(tag, params)``. The engine's fix shortcut builds a chain
 ``f^k (fix f)`` through ``_unroll``, which enters the same keys without
-looking up those that cannot be there yet, and the engine looks a
-pending application up with ``_pooled``, which builds nothing.
+looking up those that cannot be there yet.
 ``constant`` is also the one table of PCF's seven constants: the
 readers, the printer, the W-tree decoder and the elaborator build and
 name constants through it alone.
@@ -398,13 +397,6 @@ def App(fun: Term, arg: Term) -> Term:
     return _pool_add(key, t)
 
 
-def _pooled(fun: Term, arg: Term):
-    """The interned ``App(fun, arg)`` if the pool holds it, else None;
-    builds nothing."""
-    ref = _pool.get((fun, arg))
-    return None if ref is None else ref()
-
-
 def _unroll(f: Term, t: Term, k: int) -> Term:
     """``f^k t``: f applied k times to t, the term k calls of ``App``
     would build.
@@ -421,7 +413,8 @@ def _unroll(f: Term, t: Term, k: int) -> Term:
     """
     cur = t
     while k:
-        nxt = _pooled(f, cur)
+        ref = _pool.get((f, cur))
+        nxt = None if ref is None else ref()
         if nxt is None:
             break
         cur, k = nxt, k - 1

@@ -1,5 +1,6 @@
 """Surface parser, bracket-abstraction compiler, and the pcf CLI."""
 
+import ast
 import contextlib
 import io
 import os
@@ -714,6 +715,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "is negative" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--max-steps", "abc"], ["denote", "--fuel", "2.5"],
+        ["step", "--max", "1e3"],
+    ], ids=lambda argv: argv[0])
+    def test_non_integer_budget_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([argv[0], str(SAMPLES / "add.pcf"), *argv[1:]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid int value: '{argv[2]}'" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("sub", list(LAYERS))
     def test_subcommand_loads_only_its_layer(self, sub):
         # -S keeps site, and the modules it imports, out of the count
@@ -837,3 +850,15 @@ def test_exit_codes_hold_for_generated_inputs(tmp_path_factory, case):
                   4: ("internal error: RecursionError: ",     # a resource
                       "internal error: MemoryError: ")}[code]  # cap
         assert err.startswith(prefix), err
+
+
+def test_sources_parse_under_the_oldest_python_supported():
+    # pyproject.toml asks for Python 3.10 or later, so no source may use
+    # later syntax, such as except*
+    root = SAMPLES.parent
+    paths = sorted((root / "src").rglob("*.py"))
+    paths += sorted((root / "tests").rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, 10))

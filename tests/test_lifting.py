@@ -99,3 +99,4 @@ def test_kleisli_monotone_in_argument():
 def test_render():
     assert render(BOT) == "bot"
     assert render(unit(12)) == "eta 12"
+    assert (repr(unit(12)), repr(BOT)) == ("eta 12", "bot")

@@ -632,6 +632,20 @@ def test_a_numeral_only_run_stops_early_only_with_budget_left():
     assert run_bounded(t, 3, numeral_only=True) == (None, 3)
 
 
+def test_a_focus_back_at_a_shallower_entry_stops_at_a_descent():
+    # g (fix g), with g = k pred pred, steps to pred (fix g), and the fix
+    # step inside it gives the pending pair (g, fix g) at depth 1: the
+    # start term again, one depth down. The loop head compares it only
+    # with depth 1's entry, fix g, so the run goes on to pred (fix g)
+    # and stops when it enters fix g again, which takes a fourth step
+    g = App(App(K(NN, NN), Pred), Pred)
+    t = App(g, App(Fix(Iota), g))
+    assert syntax.term_size(t) == 13
+    assert run_bounded(t, 3, numeral_only=True) == run_bounded(t, 3)
+    assert run_bounded(t, 3)[0].rule is not None
+    assert run_bounded(t, 4, numeral_only=True) == (None, 4)
+
+
 @pytest.mark.parametrize("src", [
     None,                                   # fix succ, built by hand
     r"fix \x:nat. pred x",

@@ -106,6 +106,7 @@ def test_arrow_values_are_interned():
     k3 = denote(App(K(Iota, Iota), numeral(3)), 0)
     assert denote(App(K(Iota, Iota), App(Pred, numeral(4))), 0) is k3
     assert Func("k", ()).apply(unit(3)) is k3
+    assert repr(Func("k", ())) == "Func('k', ())"
 
 
 def test_a_dropped_value_leaves_the_pool_at_once():
