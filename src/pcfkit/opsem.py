@@ -11,7 +11,8 @@ reduction step within one ``run_bounded`` call costs O(1) amortized
 instead of a root-to-redex rescan. Each step of ``step`` and ``reduce``
 is a fresh ``_run_pure`` run with a budget of 1 that starts at the
 root, so it costs O(d) for a redex d deep: ``reduce(fix succ, n)`` is
-quadratic in n.
+quadratic in n. It would stay quadratic however it walked, since each
+term of its trace is a new root-to-redex path: n(n-1)/2 ``App`` calls.
 
 The engine builds only the terms a run keeps. Its focus is an interned
 term or a pending application held as its two parts: the ``s`` rule's

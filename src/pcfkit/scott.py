@@ -360,16 +360,14 @@ def check_soundness(s, max_steps, fuel):
     return Verdict("ok", n)
 
 
-def check_adequacy(t, fuel, max_steps):
-    """A committed denotation must be realized operationally.
+def _realized(t, v, max_steps):
+    """The verdict on whether t, which denotes v = eta n, reaches n
+    within max_steps.
 
-    A numeral-only run that stops early means that no budget reaches a
+    The model is adequate: a term that denotes eta n reduces to n.  A
+    numeral-only run that stops early means that no budget reaches a
     numeral, so next to a committed denotation it is a violation; a run
     still stepping when its budget ends makes the check inconclusive."""
-    _check_natural(max_steps, "step budget")
-    v = denote_base(t, fuel)
-    if not v.defined:
-        return Verdict("vacuous")
     final, _ = opsem.run_bounded(t, max_steps, numeral_only=True)
     if final is None:
         return Verdict(
@@ -384,28 +382,27 @@ def check_adequacy(t, fuel, max_steps):
         f" {'no numeral' if m is None else m}")
 
 
+def check_adequacy(t, fuel, max_steps):
+    """A committed denotation must be realized operationally: see
+    `_realized`."""
+    _check_natural(max_steps, "step budget")
+    v = denote_base(t, fuel)
+    if not v.defined:
+        return Verdict("vacuous")
+    return _realized(t, v, max_steps)
+
+
 def check_semidecidability(t, fuel, max_steps):
     """The two semi-decision procedures must agree when both commit.
 
-    A numeral-only run that stops early means that no budget reaches a
-    numeral, so next to a committed denotation it is a violation."""
+    Where the denotation commits, that is adequacy (see `_realized`);
+    where it does not, the verdict is inconclusive."""
     _check_natural(max_steps, "step budget")
-    den = denote_base(t, fuel)
+    v = denote_base(t, fuel)
+    if v.defined:
+        return _realized(t, v, max_steps)
     final, _ = opsem.run_bounded(t, max_steps, numeral_only=True)
-    if final is None and den.defined:
-        return Verdict(
-            "violation", den.value,
-            f"denotation eta {den.value} but the run never reaches"
-            " a numeral")
-    opn = None if final is None else final.numeral
-    if den.defined and opn is not None:
-        if den.value == opn:
-            return Verdict("ok", opn)
-        return Verdict(
-            "violation", den.value,
-            f"denotation eta {den.value} vs operational {opn}")
-    if not den.defined and opn is None:
+    if final is None or final.numeral is None:
         return Verdict("inconclusive", detail="both sides undefined")
-    side = "denotation" if den.defined else "operational"
     return Verdict("inconclusive",
-                   detail=f"only the {side} side committed in budget")
+                   detail="only the operational side committed in budget")

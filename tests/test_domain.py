@@ -197,6 +197,13 @@ class TestLeastFixedPoint:
         with pytest.raises(ValueError, match="endomap"):
             least_fixed_point(f)
 
+    def test_an_unchecked_map_that_cycles_stops(self):
+        # _make skips the order check; from bottom the iteration cycles
+        # 0 -> 1 -> 0, and it stops after size + 1 rounds
+        f = MonotoneMap._make((chain(2), chain(2), (1, 0)))
+        with pytest.raises(AssertionError, match="failed to stabilize"):
+            least_fixed_point(f)
+
     def test_fixed_and_least_prefixed_on_corpus(self):
         rng = random.Random(61)
         for _ in range(60):

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (
     ADD_SRC, MUL_SRC, _forget_values, _subterms, collector_off,
-    recursive_function, recursive_programs, shallow_stack,
+    recursive_function, recursive_programs, shallow_stack, small_terms,
 )
 from pcfkit import opsem, scott
 from pcfkit.frontend import cli, elaborate, parse
@@ -620,10 +620,9 @@ def test_a_wrong_contraction_fails_the_checks_and_the_cli(
     # pred (succ n) ~> succ n: pred #1 denotes eta 0 and reaches 1
     wrong_rule(monkeypatch, RuleName.PredSucc, lambda f, a: a)
     t = App(Pred, numeral(1))
-    assert check_semidecidability(t, 8, 10) == Verdict(
-        "violation", 0, "denotation eta 0 vs operational 1")
-    assert check_adequacy(t, 8, 10) == Verdict(
-        "violation", 0, "denotes eta 0 but 10 steps reach 1")
+    for check in (check_adequacy, check_semidecidability):
+        assert check(t, 8, 10) == Verdict(
+            "violation", 0, "denotes eta 0 but 10 steps reach 1"), check
     src = tmp_path / "pred.pcf"
     src.write_text("pred #1\n", encoding="utf-8")
     for cmd in ("sound", "adequacy"):
@@ -647,6 +646,34 @@ def test_a_looping_engine_is_a_violation(monkeypatch, capsys, tmp_path):
     assert cli.main(["adequacy", str(src)]) == 4
     out, err = capsys.readouterr()
     assert out.startswith("VIOLATION ") and err == ""
+
+
+@pytest.mark.parametrize("rule, wrong, violations", [
+    (None, None, 0),
+    (RuleName.PredSucc, lambda f, a: a, 100),       # pred (succ n) ~> succ n
+    (RuleName.IfzZero, lambda f, a: f.arg, 10),     # ifz s t 0 ~> t
+    (RuleName.KRule, App, 690),                     # k s t ~> k s t
+], ids=["correct", "pred-succ", "ifz-zero", "looping-k"])
+def test_semidecidability_is_adequacy_where_the_denotation_commits(
+        monkeypatch, rule, wrong, violations):
+    # the model is adequate, so where the denotation commits the two
+    # procedures agree exactly when the run realizes it: the two checks
+    # give one verdict there, under a wrong engine too
+    if rule is not None:
+        wrong_rule(monkeypatch, rule, wrong)
+    terms = [t for n in range(1, 10) for t in small_terms(Iota, n)]
+    assert len(terms) == 741
+    found = 0
+    for fuel, budget in ((0, 1), (8, 10), (32, 2000)):
+        for t in terms:
+            a = check_adequacy(t, fuel, budget)
+            s = check_semidecidability(t, fuel, budget)
+            if denote_base(t, fuel).defined:
+                assert a == s, (t, fuel, budget)
+            else:
+                assert (a.status, s.status) == ("vacuous", "inconclusive")
+            found += a.status == "violation"
+    assert found == violations
 
 
 def test_the_checks_run_through_the_module_name(monkeypatch):
@@ -719,9 +746,8 @@ class TestSemidecidability:
         assert "both sides" in v.detail
 
     def test_operational_budget_too_small(self):
-        v = check_semidecidability(CONST7, 5, 1)
-        assert v.status == "inconclusive"
-        assert "denotation" in v.detail
+        assert check_semidecidability(CONST7, 5, 1) == Verdict(
+            "inconclusive", 7, "denotes eta 7 but 1 steps reach no numeral")
 
     def test_denotational_budget_too_small(self):
         v = check_semidecidability(CONST7, 0, 10)

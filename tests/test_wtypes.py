@@ -155,6 +155,10 @@ def test_validator_rejects_bad_arity():
         validate(TERM_SPEC, WTree(("zero",), (WTree(("zero",)),)))
     with pytest.raises(InvalidTree):
         validate(TERM_SPEC, WTree(("app", Iota, Iota), ()))
+    # a constant has no child slot, and an application two
+    for head, b in ((("zero",), 0), (("app", Iota, Iota), 2)):
+        with pytest.raises(InvalidTree, match="no child slot"):
+            TERM_SPEC.source(head, b)
 
 
 def test_decode_rejects_malformed_trees():
