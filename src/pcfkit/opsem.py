@@ -86,8 +86,9 @@ from collections import namedtuple
 
 from . import syntax
 from .syntax import (
-    CONGRUENCE_RULES, App, RuleName, Term, WrongType, _app_rule, _check_base,
-    _check_natural,
+    CONGRUENCE_RULES, App, Term, WrongType, _APP_LEFT, _FIX_RULE, _IFZ_SUCC,
+    _IFZ_ZERO, _INTO_ARG, _K_RULE, _PRED_SUCC, _PRED_ZERO, _S_RULE, _app_rule,
+    _check_base, _check_natural,
 )
 
 __all__ = [
@@ -100,11 +101,6 @@ __all__ = [
 class Step(namedtuple("Step", "next rule"), syntax.Record):
     __slots__ = ()
 
-_AL = RuleName.AppLeft
-_FIX = RuleName.FixRule
-_S = RuleName.SRule
-# congruence rules that step inside the argument
-_INTO_ARG = CONGRUENCE_RULES - {_AL}
 # the memo value of a subterm the zipper is reducing in a numeral-only run
 _BUSY = object()
 
@@ -112,15 +108,15 @@ _BUSY = object()
 def _contract(f, a, r):
     """Apply a root rule other than s and fix to App(f, a), from its
     parts."""
-    if r is RuleName.PredZero:
+    if r is _PRED_ZERO:
         return a                                   # pred 0 ~> 0
-    if r is RuleName.PredSucc:
+    if r is _PRED_SUCC:
         return a.arg                               # pred (succ n) ~> n
-    if r is RuleName.IfzZero:
+    if r is _IFZ_ZERO:
         return f.fun.arg                           # zero branch
-    if r is RuleName.IfzSucc:
+    if r is _IFZ_SUCC:
         return f.arg                               # successor branch
-    if r is RuleName.KRule:
+    if r is _K_RULE:
         return f.arg                               # k s t ~> s
     raise AssertionError(r)
 
@@ -313,7 +309,7 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
             if fun is x.fun and arg is x.arg:
                 return None, max_steps
         while r in CONGRUENCE_RULES:
-            if r is _AL:
+            if r is _APP_LEFT:
                 child, other, cur_is_fun = fun, arg, True
             else:
                 child, other, cur_is_fun = arg, fun, False
@@ -338,7 +334,7 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
             r = cur.rule
         else:
             # no memo hit on the way down: r contracts a root redex
-            if r is _FIX:
+            if r is _FIX_RULE:
                 # fix f, interned once: f (fix f) and the unrolling hold it
                 fx = App(fun, arg) if cur is None else cur
                 if _app_rule(arg, fx) in _INTO_ARG:
@@ -351,7 +347,7 @@ def _run_pure(t, max_steps, memo=None, *, numeral_only=False):
                 else:
                     steps += 1
                     fun, arg, cur = arg, fx, None
-            elif r is _S:
+            elif r is _S_RULE:
                 # s f g t ~> f t (g t), pending
                 steps += 1
                 fun, arg, cur = App(fun.fun.arg, arg), App(fun.arg, arg), None

@@ -251,7 +251,13 @@ _CONSTANTS = {
 
 class RuleName(enum.Enum):
     """One name per rule of the one-step relation, spelled as in the
-    CLI trace. ``_app_rule`` below is the one function that picks one."""
+    CLI trace. ``_app_rule`` below is the one function that picks one.
+
+    The step path (``_app_rule`` and the engine in ``opsem``) reads the
+    members through the module constants bound below, never as
+    ``RuleName.X``: on CPython 3.11 ``EnumType`` defines ``__getattr__``,
+    so each such read takes the slow attribute hook, several times the
+    cost of a global load."""
 
     PredZero = "pred-zero"    # pred 0  ~>  0
     PredSucc = "pred-succ"    # pred (n+1)  ~>  n
@@ -270,11 +276,15 @@ class RuleName(enum.Enum):
     __hash__ = object.__hash__
 
 
-# The four congruence rules descend into a subterm; the other seven
-# contract a redex at the root.
-CONGRUENCE_RULES = frozenset(
-    {RuleName.AppLeft, RuleName.SuccArg, RuleName.PredArg, RuleName.IfzScrut}
-)
+# The eleven members as module constants, in RuleName's order: the one
+# set of names the step path reads (see RuleName).
+(_PRED_ZERO, _PRED_SUCC, _IFZ_ZERO, _IFZ_SUCC, _K_RULE, _S_RULE, _FIX_RULE,
+ _APP_LEFT, _SUCC_ARG, _PRED_ARG, _IFZ_SCRUT) = RuleName
+
+# The four congruence rules descend into a subterm, three of them into
+# the argument; the other seven contract a redex at the root.
+_INTO_ARG = frozenset({_SUCC_ARG, _PRED_ARG, _IFZ_SCRUT})
+CONGRUENCE_RULES = _INTO_ARG | {_APP_LEFT}
 
 
 def _app_rule(f, a):
@@ -287,28 +297,27 @@ def _app_rule(f, a):
     tag = f.tag
     if tag == "pred":
         if a.numeral is not None:
-            return RuleName.PredZero if a.numeral == 0 else RuleName.PredSucc
-        return RuleName.PredArg if a.rule is not None else None
+            return _PRED_ZERO if a.numeral == 0 else _PRED_SUCC
+        return _PRED_ARG if a.rule is not None else None
     if tag == "succ":
-        return RuleName.SuccArg if a.rule is not None else None
+        return _SUCC_ARG if a.rule is not None else None
     if tag == "fix":
-        return RuleName.FixRule
+        return _FIX_RULE
     if tag == "app":
         g = f.fun
         if g.tag == "k":
-            return RuleName.KRule
+            return _K_RULE
         if g.tag == "app":
             h = g.fun
             if h.tag == "s":
-                return RuleName.SRule
+                return _S_RULE
             if h.tag == "ifz":
                 if a.numeral is not None:
-                    return (RuleName.IfzZero if a.numeral == 0
-                            else RuleName.IfzSucc)
-                return RuleName.IfzScrut if a.rule is not None else None
+                    return _IFZ_ZERO if a.numeral == 0 else _IFZ_SUCC
+                return _IFZ_SCRUT if a.rule is not None else None
     # partial k/s/ifz applications and stuck heads fall through here;
     # they step only if the function part itself steps
-    return RuleName.AppLeft if f.rule is not None else None
+    return _APP_LEFT if f.rule is not None else None
 
 
 def constant(tag: str, params: tuple = ()) -> Term:

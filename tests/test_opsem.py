@@ -1,6 +1,7 @@
 """One-step reduction, the rule oracle, bounded reduction and its memo,
 traces."""
 
+import dis
 import gc
 import random
 from pathlib import Path
@@ -397,6 +398,27 @@ def test_a_run_builds_only_the_terms_it_keeps(t, most):
     assert calls[0] <= most
 
 
+def test_the_step_path_reads_rule_constants():
+    # on CPython 3.11 a RuleName.X read goes through EnumType's
+    # __getattr__; the step path reads syntax's module constants instead
+    constants = {
+        "_PRED_ZERO": RuleName.PredZero, "_PRED_SUCC": RuleName.PredSucc,
+        "_IFZ_ZERO": RuleName.IfzZero, "_IFZ_SUCC": RuleName.IfzSucc,
+        "_K_RULE": RuleName.KRule, "_S_RULE": RuleName.SRule,
+        "_FIX_RULE": RuleName.FixRule, "_APP_LEFT": RuleName.AppLeft,
+        "_SUCC_ARG": RuleName.SuccArg, "_PRED_ARG": RuleName.PredArg,
+        "_IFZ_SCRUT": RuleName.IfzScrut,
+    }
+    for name, member in constants.items():
+        assert getattr(syntax, name) is member, name
+    assert syntax._INTO_ARG == CONGRUENCE_RULES - {RuleName.AppLeft}
+    for fn in (syntax._app_rule, syntax.App, syntax._unroll,
+               opsem._contract, opsem._run_pure):
+        reads = [i.opname for i in dis.get_instructions(fn)
+                 if i.argval == "RuleName"]
+        assert reads == [], fn.__name__
+
+
 def fuzz_corpora():
     """The acceptance suites' corpora (seed 200 at depth 6, seed 201 at
     depth 5), base-type terms first, then as many of random types; each
@@ -676,12 +698,16 @@ def test_numeral_only_runs_miss_a_loop_whose_terms_grow():
     assert steps == 2000 and final.rule is not None
 
 
-@pytest.mark.parametrize("t, steps", [
-    (elaborate(parse(f"{ADD_SRC} #200 #200")), 152_328),
-    (mul_term(4), 168_861),
-    (mul_term(5), 6_808_981),
+@pytest.mark.parametrize("t, calls, steps", [
+    (elaborate(parse(f"{ADD_SRC} #200 #200")), 11_461, 152_328),
+    (mul_term(4), 1_837, 168_861),
+    (mul_term(5), 3_423, 6_808_981),
 ], ids=["add 200 200", "mul 4 4", "mul 5 5"])
-def test_numeral_only_runs_keep_the_result_of_a_long_run(t, steps):
-    want = run_bounded(t, 10 ** 8)
-    assert want[1] == steps and want[0].numeral is not None
+def test_numeral_only_runs_keep_the_result_of_a_long_run(t, calls, steps):
+    # the full run's App calls and steps do not depend on the machine: a
+    # change that only makes each step cheaper keeps both
+    with engine_app_calls() as made:
+        want = run_bounded(t, 10 ** 8)
+    assert (made[0], want[1]) == (calls, steps)
+    assert want[0].numeral is not None
     assert run_bounded(t, 10 ** 8, numeral_only=True) == want
