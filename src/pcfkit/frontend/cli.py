@@ -76,7 +76,8 @@ def _budget(text):
 
 
 def _load(path):
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig skips a leading byte-order mark, which is valid UTF-8
+    with open(path, encoding="utf-8-sig") as fh:
         return elaborate(parse(fh.read()))
 
 

@@ -1,14 +1,16 @@
 """k-step reflexive-transitive closure over single-valued step functions.
 
-The decision procedures work against any object with two methods:
-next(x) giving the unique successor of x or None, and eq(x, y) deciding
-equality of carrier elements. FiniteRelation supplies graph fixtures and
-bfs_closure_oracle the independent brute force the tests compare against.
+A step function is any object whose method next(x) gives the unique
+successor of x or None. The carrier's elements compare with ``==``, its
+decidable equality: for interned terms that is identity. FiniteRelation
+supplies graph fixtures and bfs_closure_oracle the independent brute
+force the tests compare against.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
+from types import SimpleNamespace
 
 from .syntax import Record, _check_natural
 
@@ -32,7 +34,7 @@ def decide_k_step(r, x, y, k: int) -> bool:
         x = r.next(x)
         if x is None:
             return False
-    return r.eq(x, y)
+    return x == y
 
 
 def decide_reaches_within(r, x, y, k: int) -> bool:
@@ -44,7 +46,7 @@ def decide_reaches_within(r, x, y, k: int) -> bool:
     """
     _check_natural(k, "step bound")
     for j in range(k + 1):
-        if r.eq(x, y):
+        if x == y:
             return True
         if j < k:
             x = r.next(x)
@@ -78,16 +80,7 @@ class FiniteRelation(namedtuple("FiniteRelation", "node_count edges"),
     def as_step_function(self):
         if not self.single_valued:
             raise ValueError("relation is not single-valued")
-        table = dict(self.edges)
-
-        class _Fn:
-            def next(self, x, _table=table):
-                return _table.get(x)
-
-            def eq(self, x, y):
-                return x == y
-
-        return _Fn()
+        return SimpleNamespace(next=dict(self.edges).get)
 
 
 def bfs_closure_oracle(g: FiniteRelation, source: int):

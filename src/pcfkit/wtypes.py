@@ -1,16 +1,18 @@
 """Indexed well-founded trees with decidable equality, and the encoding
 of terms into them.
 
-A WSpec packages the classifying data (index set, constructor heads,
-arities, source and target maps) as plain callables, because the head
-set for terms is infinite: every pair of types yields its own
-application constructor.  Heads carry their type parameters, so head
-equality is tuple equality and the whole tree comparison reduces to
-finitely many head checks.  A tree may share subtrees, as those of
-``encode_term`` do, so ``w_equal`` and ``validate`` check each shared
-inner node once per call, keyed by identity.  ``validate`` is the one
-checker of the tree format: ``decode_term`` calls it, then rebuilds the
-term through ``syntax.constant`` and ``App`` without checking again.
+A WSpec packages the classifying maps (arity, target and source of a
+constructor head) as callables, because the head set for terms is
+infinite: every pair of types yields its own application constructor.
+Indices and heads compare with ``==``: the term indices are interned
+types, for which it is identity, and heads carry their type parameters,
+so head equality is tuple equality and the whole tree comparison
+reduces to finitely many head checks.  A tree may share subtrees, as
+those of ``encode_term`` do, so ``w_equal`` and ``validate`` check each
+shared inner node once per call, keyed by identity.  ``validate`` is
+the one checker of the tree format: ``decode_term`` calls it, then
+rebuilds the term through ``syntax.constant`` and ``App`` without
+checking again.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ class InvalidTree(Exception):
     """A tree that does not fit its spec (head, arity, or child index)."""
 
 
-class WSpec(namedtuple("WSpec", "index_eq head_eq arity target source"),
-            Record):
+class WSpec(namedtuple("WSpec", "arity target source"), Record):
     __slots__ = ()
 
 
@@ -55,9 +56,9 @@ def w_equal(spec, u, v):
     while stack:
         u, v = stack.pop()
         iu, iv = spec.target(u.head), spec.target(v.head)
-        if not spec.index_eq(iu, iv):
+        if iu != iv:
             raise IndexMismatch(f"trees indexed by {iu!r} and {iv!r}")
-        if not spec.head_eq(u.head, v.head):
+        if u.head != v.head:
             return False
         # identical heads, so identical arities and child indices
         n = spec.arity(u.head)
@@ -79,7 +80,7 @@ def validate(spec, w, index=None):
         if not isinstance(node, WTree):
             raise InvalidTree("not a WTree")
         tgt = spec.target(node.head)
-        if not spec.index_eq(tgt, idx):
+        if tgt != idx:
             raise InvalidTree(f"head targets {tgt!r}, expected {idx!r}")
         n = spec.arity(node.head)
         if len(node.children) != n:
@@ -120,13 +121,8 @@ def _term_source(head, b):
     raise InvalidTree(f"no child slot {b} for head {head!r}")
 
 
-TERM_SPEC = WSpec(
-    index_eq=lambda a, b: a is b,
-    head_eq=lambda a, b: a == b,
-    arity=_term_arity,
-    target=_term_target,
-    source=_term_source,
-)
+TERM_SPEC = WSpec(arity=_term_arity, target=_term_target,
+                  source=_term_source)
 
 
 def _encode_app(x, f, a):

@@ -684,6 +684,12 @@ class TestCli:
         code, _, err = self.run_cli(capsys, "check", str(bad))
         assert code == 3 and err.startswith("cannot read input: ")
 
+    def test_a_leading_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        src = tmp_path / "bom.pcf"
+        src.write_bytes(b"\xef\xbb\xbf#2\n")
+        assert self.run_cli(capsys, "check", str(src)) == (0, "nat\n", "")
+        assert self.run_cli(capsys, "run", str(src)) == (0, "2\n", "")
+
     def test_overlong_literal_is_a_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.pcf"
         bad.write_text("succ #" + "9" * 5000 + "\n")

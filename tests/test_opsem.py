@@ -298,8 +298,6 @@ def test_step_relation_adapter():
     r = StepRelation()
     assert r.next(App(Pred, Zero)) is Zero
     assert r.next(numeral(2)) is None
-    assert r.eq(numeral(2), numeral(2))
-    assert not r.eq(numeral(2), numeral(3))
 
 
 # the f for which fix f ~> f (fix f) steps inside its argument

@@ -1,6 +1,7 @@
 """Closure decision procedures against brute-force graph oracles."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -59,6 +60,16 @@ def test_a_negative_step_bound_is_refused():
 def test_pcf_step_relation_one_step():
     r = StepRelation()
     assert decide_k_step(r, App(Pred, Zero), Zero, 1)
+
+
+def test_elements_compare_with_double_equals():
+    # a step function needs only next; the target is an equal tuple that
+    # is not the same object as the one the walk reaches
+    r = SimpleNamespace(next={(0,): (1,), (1,): (2,)}.get)
+    target = tuple([2])
+    assert target is not r.next((1,))
+    assert decide_k_step(r, (0,), target, 2)
+    assert decide_reaches_within(r, (0,), target, 2)
 
 
 def test_chain_examples():
