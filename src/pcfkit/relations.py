@@ -57,15 +57,16 @@ def decide_reaches_within(r, x, y, k: int) -> bool:
 
 class FiniteRelation(namedtuple("FiniteRelation", "node_count edges"),
                      Record):
-    """A finite graph fixture: nodes 0..node_count-1 plus an edge list,
-    each edge a pair of such ints, a bool not among them (``_make`` and
-    ``_replace`` skip that check)."""
+    """A finite graph fixture: nodes 0..node_count-1 plus a tuple of
+    edges, made from any iterable, each edge a pair of such ints, a bool
+    not among them (``_make`` and ``_replace`` skip that check)."""
 
     __slots__ = ()
 
     def __new__(cls, node_count, edges):
         if type(node_count) is not int or node_count < 0:
             raise ValueError(f"node count {node_count!r} is not a natural")
+        edges = tuple(edges)
         for s, d in edges:
             if not (type(s) is type(d) is int
                     and 0 <= s < node_count and 0 <= d < node_count):

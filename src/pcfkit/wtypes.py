@@ -4,15 +4,23 @@ of terms into them.
 A WSpec packages the classifying maps (arity, target and source of a
 constructor head) as callables, because the head set for terms is
 infinite: every pair of types yields its own application constructor.
-Indices and heads compare with ``==``: the term indices are interned
-types, for which it is identity, and heads carry their type parameters,
-so head equality is tuple equality and the whole tree comparison
-reduces to finitely many head checks.  A tree may share subtrees, as
-those of ``encode_term`` do, so ``w_equal`` and ``validate`` check each
-shared inner node once per call, keyed by identity.  ``validate`` is
-the one checker of the tree format: ``decode_term`` calls it, then
-rebuilds the term through ``syntax.constant`` and ``App`` without
-checking again.
+Indices and heads compare with ``==``, and indices hash: the term
+indices are interned types, for which both go by identity, and heads
+carry their type parameters, so head equality is tuple equality and the
+whole tree comparison reduces to finitely many head checks.
+
+Equality decides by induction on the tree, which presumes every node
+has exactly the children its head's arity names, each at the index its
+slot expects.  So ``w_equal`` and ``validate`` are one walk, over a
+pair of trees for the one and over a tree paired with itself for the
+other: it raises InvalidTree at the first malformed node the pre-order
+walk meets, and ``w_equal`` returns False at the first pair of unequal
+heads.  So True means both trees are valid and equal.  A tree may share
+subtrees, as those of ``encode_term`` do, and the walk checks each
+shared pair once per call and index, keyed by identity.
+``decode_term`` checks a tree through ``validate`` alone, then rebuilds
+the term through ``syntax.constant`` and ``App`` without checking
+again.
 """
 
 from __future__ import annotations
@@ -43,54 +51,67 @@ class WTree(namedtuple("WTree", "head children", defaults=((),)), Record):
     __slots__ = ()
 
 
-def w_equal(spec, u, v):
-    """Decidable tree equality: heads first, then children pointwise.
+def _walk(spec, u, v, index):
+    """The one checked walk, over the pair (u, v) with roots at
+    ``index``, or with no index at the root: then the roots' targets
+    must agree, else IndexMismatch.
 
-    Pairs are compared in pre-order, leftmost child first, from an
-    explicit stack, so tree depth is not bounded by the recursion limit.
-    A pair met again was compared in full before, as no subtree is its
-    own descendant, so skipping it keeps the answer of the tree walk.
+    At each pair it checks, in this order: that both sides are WTrees;
+    each head's target against the index its slot expects (the target
+    map also checks the head's shape, so it runs first); each side's
+    children against its head's arity; and then that the heads are
+    equal.  Equal heads share their target and arity, so when ``v is
+    u``, as in ``validate``, or the heads are equal, each map runs once.
+    Pairs are walked in pre-order, leftmost child first, from an
+    explicit stack, so tree depth is not bounded by the recursion
+    limit.  A pair met again at the same index was walked in full
+    before, as no subtree is its own descendant, and the slots of its
+    children follow from its head alone, so it is skipped; at another
+    index its target check fails.
     """
+    arity, target, source = spec
     seen = set()
-    stack = [(u, v)]
+    stack = [(u, v, index)]
     while stack:
-        u, v = stack.pop()
-        iu, iv = spec.target(u.head), spec.target(v.head)
-        if iu != iv:
-            raise IndexMismatch(f"trees indexed by {iu!r} and {iv!r}")
-        if u.head != v.head:
+        u, v, idx = stack.pop()
+        if (key := (id(u), id(v), idx)) in seen:
+            continue
+        if not (isinstance(u, WTree) and isinstance(v, WTree)):
+            raise InvalidTree("not a WTree")
+        same = v is u or u.head == v.head
+        tu = target(u.head)
+        tv = tu if same else target(v.head)
+        if not seen and index is None:  # the roots, with no index given
+            if tu != tv:
+                raise IndexMismatch(f"trees indexed by {tu!r} and {tv!r}")
+        elif tu != idx or tv != idx:
+            tgt = tu if tu != idx else tv
+            raise InvalidTree(f"head targets {tgt!r}, expected {idx!r}")
+        n = arity(u.head)
+        for w, k in ((u, n), (v, n if same else arity(v.head))):
+            if len(w.children) != k:
+                raise InvalidTree(
+                    f"head {w.head!r} has arity {k}, got "
+                    f"{len(w.children)} children")
+        if not same:
             return False
-        # identical heads, so identical arities and child indices
-        n = spec.arity(u.head)
-        if n and (key := (id(u), id(v))) not in seen:
-            seen.add(key)
-            for b in reversed(range(n)):
-                stack.append((u.children[b], v.children[b]))
+        seen.add(key)
+        for b in reversed(range(n)):
+            stack.append((u.children[b], v.children[b], source(u.head, b)))
     return True
 
 
+def w_equal(spec, u, v):
+    """Decidable tree equality: True when both trees are valid and
+    equal, False at the first pair of unequal heads, and InvalidTree or
+    IndexMismatch when the walk meets a fault first."""
+    return _walk(spec, u, v, None)
+
+
 def validate(spec, w, index=None):
-    """Check well-indexedness throughout; raises InvalidTree on failure."""
-    if not isinstance(w, WTree):
-        raise InvalidTree("not a WTree")
-    seen = {}
-    stack = [(w, spec.target(w.head) if index is None else index)]
-    while stack:
-        node, idx = stack.pop()
-        if not isinstance(node, WTree):
-            raise InvalidTree("not a WTree")
-        tgt = spec.target(node.head)
-        if tgt != idx:
-            raise InvalidTree(f"head targets {tgt!r}, expected {idx!r}")
-        n = spec.arity(node.head)
-        if len(node.children) != n:
-            raise InvalidTree(
-                f"head {node.head!r} has arity {n}, got "
-                f"{len(node.children)} children")
-        if n and (key := (id(node), id(idx))) not in seen:
-            seen[key] = idx  # keeps idx, and so its id, alive
-            for b in range(n):
-                stack.append((node.children[b], spec.source(node.head, b)))
+    """Check well-indexedness throughout, at ``index`` or at the root's
+    own target; raises InvalidTree on failure."""
+    _walk(spec, w, w, index)
 
 
 # The term encoding: heads are (tag, *type-parameters), indexed by type.
@@ -138,9 +159,10 @@ def encode_term(t):
 
 
 def decode_term(w):
-    """The term that ``w`` encodes; InvalidTree if ``validate`` rejects
-    it.  The valid tree is then rebuilt in one post-order walk that
-    decodes each shared node once, keyed by identity."""
+    """The term that ``w`` encodes; InvalidTree if ``validate``, the
+    walk that ``w_equal`` makes, rejects it.  The valid tree is then
+    rebuilt in one post-order walk that decodes each shared node once,
+    keyed by identity, trusting every head and child count."""
     validate(TERM_SPEC, w)
     out = {}
     stack = [w]

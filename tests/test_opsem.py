@@ -627,8 +627,8 @@ def test_numeral_only_runs_agree_with_full_runs_on_the_fuzz_corpora():
 
 
 def test_numeral_only_runs_agree_with_full_runs_on_all_small_terms():
-    assert [len(small_terms(Iota, n)) for n in range(1, 12)] == [
-        1, 0, 4, 0, 14, 0, 106, 0, 616, 0, 4245]
+    assert [len(small_terms(Iota, n)) for n in range(1, 14)] == [
+        1, 0, 4, 0, 14, 0, 106, 0, 616, 0, 4245, 0, 28820]
     terms = [t for n in range(1, 12, 2) for t in small_terms(Iota, n)]
     assert assert_numeral_only_runs_agree(
         (t, k) for t in terms for k in (0, 1, 2, 3, 10, 100)) == 5589

@@ -155,3 +155,12 @@ def test_edge_bounds_checked_by_position_or_keyword():
         with pytest.raises(ValueError, match="out of range"):
             make()
     assert FiniteRelation(2, edges=((1, 0),)).edges == ((1, 0),)
+
+
+def test_edges_are_kept_as_a_tuple():
+    # edges from any iterable: a generator's survive the range check,
+    # and a list's make a hashable record
+    g = FiniteRelation(3, (e for e in [(0, 1), (0, 2)]))
+    assert g.edges == ((0, 1), (0, 2)) and not g.single_valued
+    assert FiniteRelation(3, [(0, 1), (1, 2)]) == CHAIN
+    assert hash(FiniteRelation(3, [(0, 1), (1, 2)])) == hash(CHAIN)

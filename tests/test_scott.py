@@ -676,6 +676,25 @@ def test_semidecidability_is_adequacy_where_the_denotation_commits(
     assert found == violations
 
 
+def test_every_small_term_passes_every_cross_check():
+    # every closed nat term of at most 13 nodes, each interned once:
+    # soundness, adequacy and semidecidability at budget 2,000 and fuel
+    # 32, and the engine's step against the rule-by-rule successors
+    terms = [t for n in range(1, 14, 2) for t in small_terms(Iota, n)]
+    assert len(set(map(id, terms))) == len(terms) == 33806
+    bad = []
+    for t in terms:
+        s = opsem.step(t)
+        if t.ty is not Iota or opsem.successors(t) != (
+                [] if s is None else [s.next]):
+            bad.append((t, "step"))
+        bad += [(t, v) for v in (check_soundness(t, 2000, 32),
+                                 check_adequacy(t, 32, 2000),
+                                 check_semidecidability(t, 32, 2000))
+                if v.status == "violation"]
+    assert bad == []
+
+
 def test_the_checks_run_through_the_module_name(monkeypatch):
     # pcfbench's tracer times the runs of the adequacy and
     # semidecidability checks by wrapping opsem.run_bounded, so they

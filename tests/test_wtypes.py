@@ -3,11 +3,11 @@
 import random
 
 import pytest
-from conftest import shallow_stack
+from conftest import shallow_stack, small_terms
 
 from pcfkit.syntax import (
-    _CONSTANTS, App, Iota, K, Pred, Succ, TypeMismatch, Zero, constant,
-    numeral, random_term, random_type,
+    _CONSTANTS, App, Arrow, Iota, K, Pred, Succ, TypeMismatch, Zero,
+    constant, numeral, random_term, random_type,
 )
 from pcfkit.wtypes import (
     TERM_SPEC, IndexMismatch, InvalidTree, WTree, decode_term, encode_term,
@@ -108,6 +108,22 @@ def test_term_round_trip():
             assert decode_term(encode_term(c)) is c
 
 
+def test_the_walk_on_every_small_term():
+    # every closed term of at most 11 nodes at nat and at the other four
+    # argument types small_terms lists: each round-trips, validates at
+    # its type, and equals a second encoding of itself but not the next
+    # term of its list
+    nn = Arrow(Iota, Iota)
+    for ty in (Iota, nn, Arrow(Iota, nn), Arrow(nn, Iota), Arrow(nn, nn)):
+        terms = [t for n in range(1, 12) for t in small_terms(ty, n)]
+        trees = [encode_term(t) for t in terms]
+        for t, w, other in zip(terms, trees, trees[1:] + trees[:1]):
+            assert decode_term(w) is t
+            validate(TERM_SPEC, w, t.ty)
+            assert w_equal(TERM_SPEC, w, encode_term(t))
+            assert not w_equal(TERM_SPEC, w, other)
+
+
 def test_encode_rejects_ill_typed():
     with pytest.raises(TypeMismatch):
         encode_term(App(Zero, Zero))
@@ -159,6 +175,27 @@ def test_validator_rejects_bad_arity():
     for head, b in ((("zero",), 0), (("app", Iota, Iota), 2)):
         with pytest.raises(InvalidTree, match="no child slot"):
             TERM_SPEC.source(head, b)
+
+
+_MISPLACED = WTree(("app", Iota, Iota), (WTree(("succ",)),
+                                         encode_term(Succ)))
+
+
+@pytest.mark.parametrize("u, v, match", [
+    # an extra child under an arity-0 head
+    (WTree(("zero",), (WTree(("zero",)),)), WTree(("zero",)), "arity"),
+    # an app head with no children, against one with two
+    (encode_term(APP_SZ), WTree(("app", Iota, Iota), ()), "arity"),
+    # a child at the wrong index, against itself
+    (_MISPLACED, _MISPLACED, "expected"),
+    # a child that is no tree
+    (WTree(("app", Iota, Iota), (WTree(("succ",)), "x")),
+     encode_term(APP_SZ), "not a WTree"),
+], ids=["extra-child", "missing-children", "misplaced-child", "not-a-tree"])
+def test_w_equal_refuses_malformed_trees(u, v, match):
+    for a, b in ((u, v), (v, u)):
+        with pytest.raises(InvalidTree, match=match):
+            w_equal(TERM_SPEC, a, b)
 
 
 def test_decode_rejects_malformed_trees():
@@ -239,7 +276,10 @@ def test_decode_rejects_exactly_what_validate_rejects():
             invalid += 1
             with pytest.raises(InvalidTree):
                 decode_term(bad)
+            with pytest.raises(InvalidTree):
+                w_equal(TERM_SPEC, bad, bad)
         else:
             valid += 1
             assert encode_term(decode_term(bad)) == bad
+            assert w_equal(TERM_SPEC, bad, bad)
     assert valid > 200 and invalid > 200
