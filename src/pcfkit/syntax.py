@@ -703,25 +703,42 @@ def random_term(rng, ty: PcfType = Iota, depth: int = 8) -> Term:
 
     Builds down from the target type with constructor-appropriate
     choices; depth bounds the recursion.
+
+    The draws are pinned (``test_generators_draw_pinned_terms``), since
+    every fuzz corpus rests on them, so an edit must keep, call for call:
+    the choices and their weights in this order, a numeral 3 (at ι
+    only), each of ``_constants_at(ty)`` 1, and, when depth > 0, an
+    application 4, ``fix`` 1 and an ``ifz`` 2 (at ι only); one
+    ``rng.random() * total`` per choice, tested by ``pick -= w; if pick
+    <= 0`` in that order, with the last choice as the fallback;
+    ``_inhabitant(ty)`` when there is no choice; and the order of the
+    sub-draws: an application draws its argument type, then the
+    function, then the argument, and an ``ifz`` its zero branch, then
+    its successor branch, then the scrutinee.
     """
-    choices = [(3, lambda: numeral(_geom(rng)))] if ty is Iota else []
-    choices += [(1, lambda g=g: constant(*g)) for g in _constants_at(ty)]
-    if depth > 0:
-        choices.append((4, lambda: _random_app(rng, ty, depth)))
-        choices.append((1, lambda: App(Fix(ty),
-                                       random_term(rng, Arrow(ty, ty),
-                                                   depth - 1))))
-        if ty is Iota:
-            choices.append((2, lambda: _random_ifz(rng, depth)))
-    if not choices:
+    consts = _constants_at(ty)
+    nat, deep = ty is Iota, depth > 0
+    total = 3 * nat + len(consts) + (5 + 2 * nat) * deep
+    if not total:
         return _inhabitant(ty)
-    total = sum(w for w, _ in choices)
     pick = rng.random() * total
-    for w, thunk in choices:
-        pick -= w
+    if nat:
+        pick -= 3
+        if pick <= 0 or not (consts or deep):  # or the only choice
+            return numeral(_geom(rng))
+    for g in consts:
+        pick -= 1
         if pick <= 0:
-            return thunk()
-    return choices[-1][1]()
+            return constant(*g)
+    if not deep:  # the last choice is the fallback
+        return constant(*consts[-1])
+    pick -= 4
+    if pick <= 0:
+        return _random_app(rng, ty, depth)
+    pick -= 1
+    if pick <= 0 or not nat:
+        return App(Fix(ty), random_term(rng, Arrow(ty, ty), depth - 1))
+    return _random_ifz(rng, depth)
 
 
 def _geom(rng):

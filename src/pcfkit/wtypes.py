@@ -58,10 +58,11 @@ def _walk(spec, u, v, index):
 
     At each pair it checks, in this order: that both sides are WTrees;
     each head's target against the index its slot expects (the target
-    map also checks the head's shape, so it runs first); each side's
-    children against its head's arity; and then that the heads are
-    equal.  Equal heads share their target and arity, so when ``v is
-    u``, as in ``validate``, or the heads are equal, each map runs once.
+    map also checks the head's shape, so it runs first); that each
+    side's children are a tuple, as many as its head's arity names; and
+    then that the heads are equal.  Equal heads share their target and
+    arity, so when ``v is u``, as in ``validate``, or the heads are
+    equal, each map runs once.
     Pairs are walked in pre-order, leftmost child first, from an
     explicit stack, so tree depth is not bounded by the recursion
     limit.  A pair met again at the same index was walked in full
@@ -89,6 +90,8 @@ def _walk(spec, u, v, index):
             raise InvalidTree(f"head targets {tgt!r}, expected {idx!r}")
         n = arity(u.head)
         for w, k in ((u, n), (v, n if same else arity(v.head))):
+            if type(w.children) is not tuple:
+                raise InvalidTree(f"head {w.head!r} has non-tuple children")
             if len(w.children) != k:
                 raise InvalidTree(
                     f"head {w.head!r} has arity {k}, got "

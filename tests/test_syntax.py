@@ -1,6 +1,7 @@
 """Types, terms, numerals, the checker, and the S-expression format."""
 
 import copy
+import hashlib
 import importlib
 import pickle
 import pkgutil
@@ -212,6 +213,34 @@ def test_generator_output_is_well_typed():
         ty = random_type(rng)
         t = random_term(rng, ty, depth=8)
         assert type_of(t) is ty
+
+
+def _drawn(rng, target, depths):
+    # the S-expression of one draw per depth, then the generator's next
+    # number, so that an extra or a missing rng.random() call shows too
+    lines = [term_to_sexp(random_term(rng, target(rng), d)) for d in depths]
+    return lines + [repr(rng.random())]
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_generators_draw_pinned_terms():
+    # random_type and random_term draw the same terms call for call: the
+    # fuzz corpora of every cross-check, and pcfbench's denote corpus,
+    # rest on it. The generators call only Random.random(), whose stream
+    # is the same on every supported Python.
+    denote_corpus = _drawn(random.Random(200), lambda rng: Iota, [6] * 48)
+    assert _digest(denote_corpus) == (
+        "203e57e50a63699ce33d28f4843de0c12319f3187e19e5ae2bbd7bea6d414369")
+    any_type = [line for seed in range(50)
+                for line in _drawn(random.Random(seed), random_type, range(9))]
+    assert _digest(any_type) == (
+        "5a120023b40888d53dd6dc439e6889bd3b5eaa890dd4c9854778b74d90834ea6")
+    nat_to_nat = _drawn(random.Random(96), lambda rng: NN, [5] * 60)
+    assert _digest(nat_to_nat) == (
+        "7920ffab250636616d81381edfcd73ec6a8f83619cd46d36a96b6d4597113cf1")
 
 
 def test_type_sexp_forms():

@@ -215,6 +215,18 @@ def test_decode_rejects_malformed_trees():
             decode_term(w)
 
 
+def test_children_are_a_tuple():
+    # a list of children would pass for a tree, yet be unhashable and
+    # differ from the encoding of the term it decodes to
+    good = encode_term(APP_SZ)
+    w = WTree(good.head, list(good.children))
+    for check in (lambda: validate(TERM_SPEC, w), lambda: decode_term(w),
+                  lambda: w_equal(TERM_SPEC, w, good),
+                  lambda: w_equal(TERM_SPEC, good, w)):
+        with pytest.raises(InvalidTree, match="non-tuple children"):
+            check()
+
+
 def test_a_tree_is_no_head():
     # a WTree is a tuple, but only plain tuples are term heads, even one
     # whose fields read as a head
