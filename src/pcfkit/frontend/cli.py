@@ -18,6 +18,10 @@ and exits 1 on such a program instead.
 A reader that closes stdout early (``pcf step ... | head -1``) ends the
 run with exit 0 and nothing on stderr: no one reads the rest.
 
+Stdout is UTF-8 whatever the locale, as the input is, so the ``⇝`` of a
+step trace or a violation cannot fail to encode and break these exit
+codes; everything else ``pcf`` prints is ASCII.
+
 Start-up: each subcommand imports only the layer it runs. ``check`` and
 ``compile`` load the frontend and ``syntax``; ``step`` and ``run`` add
 ``opsem``; ``denote``, ``adequacy`` and ``sound`` add ``scott`` and
@@ -32,7 +36,8 @@ import argparse
 import os
 import sys
 
-from ..syntax import TypeMismatch, WrongType, term_to_sexp, type_surface
+from ..syntax import (TypeMismatch, WrongType, term_to_sexp, trace_sexps,
+                      type_surface)
 from .elaborate import elaborate
 from .surface import ParseError, parse
 
@@ -103,9 +108,10 @@ def _dispatch(args):
         print(term_to_sexp(_load(args.file)))
         return 0
     if args.cmd == "step":
-        _, trace, exhausted = reduce(_load(args.file), args.max)
-        for nxt, rule in trace:
-            print(f"{rule.value} ⇝ {term_to_sexp(nxt)}")
+        t = _load(args.file)
+        _, trace, exhausted = reduce(t, args.max)
+        for (_, rule), line in zip(trace, trace_sexps(t, trace)):
+            print(rule.value, "⇝", line)
         print("step-budget-exhausted" if exhausted else "normal-form")
         return 0
     if args.cmd == "run":
@@ -172,6 +178,11 @@ def main(argv=None):
     cmd("eq", "decide equality of two compiled programs", two_files=True)
 
     args = top.parse_args(argv)
+    # a stream swapped in for stdout (pcfbench's replay, a test's
+    # capture) may have no reconfigure
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(encoding="utf-8")
     try:
         code = _dispatch(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

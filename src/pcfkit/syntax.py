@@ -53,7 +53,8 @@ __all__ = [
     "App", "RuleName", "CONGRUENCE_RULES",
     "TypeMismatch", "WrongType", "Record",
     "type_of", "numeral", "fold", "term_size",
-    "term_to_sexp", "type_to_sexp", "parse_term_sexp", "parse_type_sexp",
+    "term_to_sexp", "trace_sexps", "type_to_sexp", "parse_term_sexp",
+    "parse_type_sexp",
     "SexpError", "type_surface",
     "random_type", "random_term",
 ]
@@ -551,9 +552,14 @@ def type_to_sexp(ty: PcfType) -> str:
 
 
 def term_to_sexp(t: Term) -> str:
+    return _sexp(t, {")": ")", " ": " "})
+
+
+def _sexp(t, names):
     # iterative: numerals and fix-chains nest too deep for recursion.
-    # names maps each constant met, and the separators, to its string.
-    out, names = [], {")": ")", " ": " "}
+    # names maps each constant met, and the separators, to its string;
+    # a caller may seed it with the strings of terms it already printed.
+    out = []
     stack = [t]
     while stack:
         x = stack.pop()
@@ -568,6 +574,70 @@ def term_to_sexp(t: Term) -> str:
                 ["(", x.tag, *(" " + type_to_sexp(p) for p in x.params), ")"])
             out.append(s)
     return "".join(out)
+
+
+def _sexp_len(t, lens):
+    """``len(term_to_sexp(t))``, memoized in ``lens`` over the DAG."""
+    n = lens.get(t)
+    return n if n is not None else fold(t, _const_len, _app_len, lens)
+
+
+def _const_len(c):
+    return len(term_to_sexp(c))
+
+
+def _app_len(_x, f, a):
+    return f + a + 7        # "(app " f " " a ")"
+
+
+def trace_sexps(t: Term, trace):
+    """Yield ``term_to_sexp`` of each reduct of ``trace``, a ``reduce``
+    trace from t, building each line from the one before.
+
+    A step rewrites one redex inside a congruence context, C[r] ~> C[r'],
+    so two consecutive lines differ only where r was printed. The walk
+    follows the congruence rules down from the root (app-left into the
+    function, the other three into the argument) and finds r's position
+    from the printed lengths of the siblings on the path, memoized in a
+    dict that lives as long as the generator. It prints the contractum
+    r' with ``term_to_sexp``'s walk, seeded with the slices of the line
+    that hold r and the arguments on its spine, from which every root
+    rule builds r'. The new line is the old one with r's slice replaced:
+    it costs the path to the redex, the contractum's new nodes and one
+    copy of the line, not a walk over every node of the term.
+    """
+    lens = {}
+    line = term_to_sexp(t)
+    for nxt, rule in trace:
+        x, y = t, nxt
+        lo, hi = 0, len(line)
+        while True:
+            if rule is _APP_LEFT:
+                lo += 5
+                hi -= _sexp_len(x.arg, lens) + 2
+                x, y = x.fun, y.fun
+            elif rule in _INTO_ARG:
+                lo += _sexp_len(x.fun, lens) + 6
+                hi -= 1
+                x, y = x.arg, y.arg
+            else:
+                break
+            rule = x.rule
+        # line[lo:hi] prints the redex x, and y is its contractum; each
+        # argument on x's spine ends just before its application's ")"
+        names = {")": ")", " ": " ", x: line[lo:hi]}
+        j = hi - 1
+        while x.tag == "app":
+            a = x.arg
+            k = j - _sexp_len(a, lens)
+            names[a] = line[k:j]
+            j = k - 2
+            x = x.fun
+        if rule is _PRED_SUCC:      # pred (succ n) ~> n
+            names[y] = line[lo + 20:hi - 2]
+        line = "".join((line[:lo], _sexp(y, names), line[hi:]))
+        yield line
+        t = nxt
 
 
 class SexpError(ValueError):

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import hashlib
 import io
 import os
 import random
@@ -46,6 +47,20 @@ def run_module(*args):
     return subprocess.run(
         [sys.executable, "-m", "pcfkit.frontend.cli", *args],
         capture_output=True, text=True, env=child_env())
+
+
+# sha256 of the stdout of pcf step samples/add.pcf --max 100000
+ADD_STEP_SHA256 = (
+    "9cad52e867eba9d3b2a593db2712074c48d60314cbff89c93300599254f5b3ff")
+
+
+def step_add(**env):
+    """``pcf step samples/add.pcf --max 100000`` in a child process with
+    ``env`` added to its environment; stdout and stderr are bytes."""
+    return subprocess.run(
+        [sys.executable, "-m", "pcfkit.frontend.cli", "step",
+         str(SAMPLES / "add.pcf"), "--max", "100000"],
+        capture_output=True, env=dict(child_env(), **env))
 
 
 # Runs cli.main on its arguments, then prints as its last line the exit
@@ -761,6 +776,21 @@ class TestCli:
         proc = run_module("run", str(SAMPLES / "add.pcf"))
         assert proc.returncode == 0
         assert proc.stdout == "3\n"
+
+    def test_step_trace_bytes_are_pinned(self):
+        # pcf step's stdout on add.pcf, as term_to_sexp of each reduct
+        # prints it
+        proc = step_add()
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.count(b"\n") == 94
+        assert hashlib.sha256(proc.stdout).hexdigest() == ADD_STEP_SHA256
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    def test_step_writes_utf8_whatever_the_locale(self, encoding):
+        # the trace's arrow is not ASCII; stdout is UTF-8, as input is
+        proc = step_add(PYTHONIOENCODING=encoding)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == step_add().stdout
 
 
 # -- the exit-code contract, as a property over generated inputs

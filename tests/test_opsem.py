@@ -19,7 +19,8 @@ from pcfkit.opsem import (
 )
 from pcfkit.syntax import (
     CONGRUENCE_RULES, App, Arrow, Fix, Ifz, Iota, K, Pred, RuleName, S, Succ,
-    Term, Zero, fold, numeral, random_term, random_type, type_of,
+    Term, Zero, fold, numeral, random_term, random_type, term_to_sexp,
+    trace_sexps, type_of,
 )
 
 NN = Arrow(Iota, Iota)
@@ -709,3 +710,69 @@ def test_numeral_only_runs_keep_the_result_of_a_long_run(t, calls, steps):
     assert (made[0], want[1]) == (calls, steps)
     assert want[0].numeral is not None
     assert run_bounded(t, 10 ** 8, numeral_only=True) == want
+
+
+def spliced_lines(t, budget):
+    """The lines ``trace_sexps`` prints for ``reduce(t, budget)``'s trace,
+    after checking each against a fresh ``term_to_sexp`` of its reduct."""
+    _, trace, _ = reduce(t, budget)
+    lines = list(trace_sexps(t, trace))
+    assert lines == [term_to_sexp(u) for u, _ in trace], term_to_sexp(t)
+    return lines
+
+
+def test_spliced_trace_lines_match_on_small_terms_and_fuzz_corpora():
+    small = [t for n in range(1, 12) for t in small_terms(Iota, n)]
+    fuzz = [t for _, terms in fuzz_corpora() for t in terms]
+    assert (len(small), len(fuzz)) == (4986, 3000)
+    assert sum(len(spliced_lines(t, 20)) for t in small) == 48_242
+    assert sum(len(spliced_lines(t, 40)) for t in fuzz) == 20_862
+    assert list(trace_sexps(Zero, [])) == []
+
+
+def _sample(name):
+    return elaborate(parse((SAMPLES / name).read_text(encoding="utf-8")))
+
+
+def _pred_tower(n):
+    tower = numeral(n)
+    for _ in range(n):
+        tower = App(Pred, tower)
+    return tower
+
+
+# the cli workload's shape: 52 binders, the body succ x17, 52 numerals
+NESTED_LAMBDAS = "({}succ x17){}".format(
+    "".join(f"\\x{i}:nat. " for i in range(52)),
+    "".join(f" #{i % 10}" for i in range(52)))
+
+
+@pytest.mark.parametrize("build, budget, lines, last", [
+    (lambda: _sample("add.pcf"), 10 ** 5, 93, term_to_sexp(numeral(3))),
+    (lambda: elaborate(parse(NESTED_LAMBDAS)), 10 ** 5, 123,
+     term_to_sexp(numeral(8))),
+    (lambda: mul_term(3), 3000, 3000, None),
+    # omega.pcf is fix succ, whose k-th line nests k succs
+    (lambda: _sample("omega.pcf"), 2000, 2000, None),
+    (lambda: _pred_tower(300), 10 ** 5, 300, "zero"),
+], ids=["add.pcf", "nested lambdas", "mul 3 3", "omega.pcf", "pred tower"])
+def test_spliced_trace_lines_match_on_long_traces(build, budget, lines, last):
+    got = spliced_lines(build(), budget)
+    assert len(got) == lines
+    assert last is None or got[-1] == last
+
+
+def test_the_trace_printer_keeps_no_term_alive():
+    # the printer's memo of printed lengths is keyed by terms; it must
+    # die with the generator, whether the generator ran out or not. No
+    # other test prints this trace, so its terms are new to the pool.
+    t = elaborate(parse(f"{MUL_SRC} #2 #5"))
+    gc.collect()
+    before = len(syntax.Term._pool)
+    _, trace, _ = reduce(t, 3000)
+    assert len(list(trace_sexps(t, trace))) == 3000
+    lines = trace_sexps(t, trace)
+    assert len(next(lines)) > 0
+    del trace, lines
+    gc.collect()
+    assert len(syntax.Term._pool) == before
