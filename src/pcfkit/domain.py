@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .syntax import Record
+from .syntax import Record, _check_natural
 
 __all__ = [
     "FinitePoset",
@@ -93,20 +93,17 @@ def _subset_mask(p, subset):
     return mask
 
 
-def _directed_mask(p, mask):
-    # nonempty, and every pair has an upper bound inside the subset
-    if not mask:
-        return False
-    members = list(_bits(mask))
-    for a in members:
-        for b in members:
-            if not p.rows[a] & p.rows[b] & mask:
-                return False
-    return True
+def _top(p, mask):
+    # the subset's greatest element as a one-bit mask, else 0; a finite
+    # subset is directed exactly when it has one, and that is its lub
+    top = mask
+    for a in _bits(mask):
+        top &= p.rows[a]
+    return top
 
 
 def check_directed(p, subset):
-    return _directed_mask(p, _subset_mask(p, subset))
+    return bool(_top(p, _subset_mask(p, subset)))
 
 
 def lub(p, subset):
@@ -182,18 +179,47 @@ class MonotoneMap(namedtuple("MonotoneMap", "source target table"), Record):
 
 
 def monotone_tables(d, e):
-    """Yield every monotone table d -> e in lexicographic order."""
-    sp, tp = d.poset, e.poset
-    for t in itertools.product(range(e.size), repeat=d.size):
-        if _table_monotone(sp, tp, t):
-            yield t
+    """Yield every monotone table d -> e in lexicographic order.
+
+    The search backtracks in index order, without recursion: element i
+    tries, lowest first, only the values in the up-set of each earlier
+    element's value below i and in the down-set of each earlier
+    element's value above i, one constraint per order edge of d.  So a
+    dead end costs one partial table, not every candidate extending it.
+    """
+    erows, n = e.poset.rows, d.size
+    down = [sum(1 << u for u, r in enumerate(erows) if r >> v & 1)
+            for v in range(e.size)]
+    # edges[i]: pairs (j, sets), j < i an order neighbour of i in d, so
+    # that the value of i must lie in sets[table[j]]
+    edges = [[] for _ in range(n)]
+    for j, r in enumerate(d.poset.rows):
+        for k in _bits(r ^ 1 << j):
+            edges[max(j, k)].append((min(j, k), erows if j < k else down))
+    full = (1 << e.size) - 1
+    table, left, i = [0] * n, [full] * n, 0  # left[i]: values yet to try
+    while i >= 0:
+        if not left[i]:
+            i -= 1
+            continue
+        table[i] = (left[i] & -left[i]).bit_length() - 1
+        left[i] ^= 1 << table[i]
+        if i + 1 == n:
+            yield tuple(table)
+            continue
+        i += 1
+        left[i] = full
+        for j, sets in edges[i]:
+            left[i] &= sets[table[j]]
 
 
 def exponential(d, e):
     """The dcpo of all monotone maps d -> e under the pointwise order.
 
-    Carrier index i stands for ``tables[i]``.  TooLarge once the
-    candidate tables pass 10**6, or the monotone ones 10**4.
+    Carrier index i stands for ``tables[i]``.  Two guards raise
+    TooLarge: over 10**6 candidate tables bound the search, which so
+    visits under 2 * 10**6 partial tables, dead ends included; over
+    10**4 monotone tables bound the tables kept and the rows built.
     """
     if e.size ** d.size > 10 ** 6:
         raise TooLarge(
@@ -206,9 +232,7 @@ def exponential(d, e):
     erows = e.poset.rows
     for j, g in enumerate(tables):
         bit = 1 << j
-        for x in range(d.size):
-            gx = g[x]
-            col = ge[x]
+        for col, gx in zip(ge, g):
             for v in range(e.size):
                 if erows[v] >> gx & 1:
                     col[v] |= bit
@@ -249,19 +273,21 @@ def preserves_directed_lubs(d, e, table):
     if p.size > 12:
         raise TooLarge("subset enumeration guard")
     for mask in range(1, 1 << p.size):
-        if not _directed_mask(p, mask):
+        top = _top(p, mask)
+        if not top:
             continue
-        members = list(_bits(mask))
-        # a finite directed subset holds its own maximum, so top exists
-        top = lub(p, members)
-        img = lub(e.poset, [table[i] for i in members])
-        if img is None or img != table[top]:
+        # an image with no lub is None, which is no table value
+        img = lub(e.poset, [table[i] for i in _bits(mask)])
+        if img != table[top.bit_length() - 1]:
             return False
     return True
 
 
 def chain(n):
-    """The n-point linear order 0 < 1 < ... < n-1 with bottom 0."""
+    """The n-point linear order 0 < 1 < ... < n-1 with bottom 0, n >= 1."""
+    _check_natural(n, "chain size")
+    if n < 1:
+        raise ValueError(f"a pointed dcpo needs an element, got size {n}")
     full = (1 << n) - 1
     return FiniteDcpoBot(FinitePoset(full >> i << i for i in range(n)), 0)
 
@@ -273,6 +299,7 @@ def diamond():
 
 def flat(width):
     """Bottom 0 under `width` pairwise-incomparable points."""
+    _check_natural(width, "flat width")
     n = width + 1
     rows = ((1 << n) - 1 if i == 0 else 1 << i for i in range(n))
     return FiniteDcpoBot(FinitePoset(rows), 0)
@@ -285,6 +312,7 @@ def random_dcpo(rng, size):
     transitively (Warshall's algorithm on bitmasks), and rejects draws
     that break antisymmetry or lack a least element.
     """
+    _check_natural(size, "dcpo size")
     if size < 1:
         raise ValueError(f"a pointed dcpo needs an element, got size {size}")
     p = 0.9 / size if size > 1 else 0.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .syntax import Record
+from .syntax import Record, _check_natural
 
 __all__ = ["PartialNat", "BOT", "unit", "kleisli", "fmap", "leq", "render"]
 
@@ -32,7 +32,8 @@ BOT = PartialNat(None)
 
 
 def unit(n: int) -> PartialNat:
-    """The unit of the monad: a defined value."""
+    """The unit of the monad: a defined value, for a natural n only."""
+    _check_natural(n, "a defined value")
     return PartialNat(n)
 
 

@@ -1,5 +1,6 @@
 """Finite poset and dcpo layer: constructors, suprema, exponentials, lfp."""
 
+import hashlib
 import itertools
 import random
 
@@ -12,13 +13,23 @@ from pcfkit.domain import (
 )
 
 ANTICHAIN2 = FinitePoset([0b01, 0b10])
+FIXTURES = [chain(1), chain(2), chain(3), chain(4), diamond(), flat(2), flat(3)]
 
 
-def iterate_from_bottom(d, table):
-    x = d.bottom
-    while table[x] != x:
-        x = table[x]
-    return x
+def crown(k):
+    """Bottom 0 under k pairwise-incomparable points, all under a top."""
+    top = k + 1
+    rows = [(1 << k + 2) - 1] + [1 << i | 1 << top for i in range(1, top)]
+    return FiniteDcpoBot(FinitePoset(rows + [1 << top]), 0)
+
+
+def generate_and_test(d, tgt):
+    """The monotone tables d -> tgt, lexicographically: every candidate
+    table, kept when it is pointwise monotone."""
+    pairs = [(x, y) for x in range(d.size) for y in range(d.size)
+             if d.le(x, y)]
+    return tuple(t for t in itertools.product(range(tgt.size), repeat=d.size)
+                 if all(tgt.le(t[x], t[y]) for x, y in pairs))
 
 
 class TestPosetLaws:
@@ -132,14 +143,18 @@ class TestExponential:
         assert e.tables[e.bottom] == (tgt.bottom,) * d.size
 
     def test_guard(self):
-        with pytest.raises(TooLarge):
+        # 10**7 candidates; its 11,440 monotone tables pass the other guard
+        with pytest.raises(TooLarge, match="candidate"):
             exponential(chain(7), chain(10))
+        # 3**16 candidates, refused before the search meets a dead end
+        with pytest.raises(TooLarge, match="candidate"):
+            exponential(crown(14), flat(2))
         # 7**7 candidates pass the first guard; 117,655 are monotone
         with pytest.raises(TooLarge, match="monotone"):
             exponential(flat(6), flat(6))
 
     def test_largest_flat_square_under_the_guard(self):
-        # 0.6 s with the rows handed over; an m x m matrix on the way
+        # 0.5 s with the rows handed over; an m x m matrix on the way
         # would take about 18 s and 0.5 GB
         d = flat(5)
         e = exponential(d, d)
@@ -149,21 +164,39 @@ class TestExponential:
     def test_order_is_pointwise_on_random_pairs(self):
         rng = random.Random(64)
         pool = [random_dcpo(rng, rng.randrange(1, 5)) for _ in range(30)]
-        for _ in range(60):
-            d, tgt = rng.choice(pool), rng.choice(pool)
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(60)]
+        pairs += [(d, tgt) for d in FIXTURES for tgt in FIXTURES]
+        for d, tgt in pairs:
             e = exponential(d, tgt)
             assert e.tables == tuple(monotone_tables(d, tgt))
+            assert e.tables == generate_and_test(d, tgt)
             for i, f in enumerate(e.tables):
                 for j, g in enumerate(e.tables):
                     pointwise = all(tgt.le(f[x], g[x]) for x in range(d.size))
                     assert e.le(i, j) == pointwise
 
     def test_valid_over_fixture_pairs(self):
-        fixtures = [chain(1), chain(2), chain(3), chain(4), diamond(), flat(2)]
-        for d in fixtures:
-            for tgt in fixtures:
+        for d in FIXTURES:
+            for tgt in FIXTURES:
                 e = exponential(d, tgt)
                 assert e.tables[e.bottom] == (tgt.bottom,) * d.size
+
+    def test_fixture_pairs_are_pinned(self):
+        # sha256 of every fixture pair's rows, bottom and tables, as
+        # computed when the rows became the only form of an order
+        h = hashlib.sha256()
+        for d in FIXTURES:
+            for tgt in FIXTURES:
+                e = exponential(d, tgt)
+                h.update(repr((e.poset.rows, e.bottom, e.tables)).encode())
+        assert h.hexdigest() == (
+            "19b16fd85f042f916e316a6593dade9759a973fad6ccfda46ce427e50538a42f")
+
+    def test_a_wide_source_into_a_point(self):
+        # one candidate at any width: a search that recursed per element
+        # would pass the recursion limit here
+        e = exponential(flat(1100), chain(1))
+        assert e.tables == ((0,) * 1101,)
 
     def test_valid_over_random_pairs(self):
         # constructor invariants re-run on every exponential built here
@@ -216,14 +249,19 @@ class TestLeastFixedPoint:
                     if d.le(t[x], x):
                         assert d.le(mu, x)
 
-    def test_lfp_is_monotone_on_fixture_exponentials(self):
-        for d in (chain(2), chain(3), diamond(), flat(2)):
-            e = exponential(d, d)
-            mus = [iterate_from_bottom(d, t) for t in e.tables]
-            for i in range(e.size):
-                for j in range(e.size):
-                    if e.le(i, j):
-                        assert d.le(mus[i], mus[j])
+    def test_mu_is_monotone_and_preserves_directed_lubs(self):
+        # the paper reads fix as mu : (D => D) -> D, which must be
+        # continuous; here mu is a table over the exponential
+        rng = random.Random(7)
+        doms = [chain(2), chain(3), diamond(), flat(2)]
+        doms += [random_dcpo(rng, rng.randrange(1, 5)) for _ in range(200)]
+        for d in doms:
+            dd = exponential(d, d)
+            mu = tuple(least_fixed_point(MonotoneMap(d, d, t))
+                       for t in dd.tables)
+            MonotoneMap(dd, d, mu)  # raises unless mu is monotone
+            if dd.size <= 12:  # the subset guard of preserves_directed_lubs
+                assert preserves_directed_lubs(dd, d, mu)
 
 
 class TestSupPreservation:
@@ -270,7 +308,18 @@ class TestCorpusGenerator:
                 assert d.le(d.bottom, x)
 
     def test_no_element_is_refused(self):
-        # with no bottom to find, the rejection loop would draw for ever
-        for size in (0, -1):
+        # with no bottom to find, the rejection loop would draw for ever;
+        # a size is an int (a bool is not) and never negative
+        def draw(size):
+            return random_dcpo(random.Random(1), size)
+
+        for build in (chain, draw):
             with pytest.raises(ValueError, match="needs an element"):
-                random_dcpo(random.Random(1), size)
+                build(0)
+        for build in (chain, flat, draw):
+            with pytest.raises(ValueError, match="must be a natural, got -1"):
+                build(-1)
+            for bad in (True, 2.0):
+                with pytest.raises(TypeError, match="must be an int"):
+                    build(bad)
+        assert flat(0).size == 1

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from pcfkit.lifting import BOT, PartialNat, fmap, kleisli, leq, render, unit
@@ -29,6 +30,11 @@ def test_unit_is_defined():
     assert unit(7).defined
     for n in range(50):
         assert unit(n).defined
+    # eta n is for a natural n only
+    with pytest.raises(ValueError, match="natural"):
+        unit(-1)
+    with pytest.raises(TypeError, match="int"):
+        unit(True)
 
 
 def test_kleisli_on_bottom_and_unit():
