@@ -44,6 +44,9 @@ class TestPosetLaws:
     def test_transitivity_required(self):
         with pytest.raises(ValueError, match="transitive"):
             FinitePoset([0b011, 0b110, 0b100])
+        # 0 and 1 also break antisymmetry; transitivity is checked first
+        with pytest.raises(ValueError, match="transitive"):
+            FinitePoset([0b011, 0b111, 0b100])
 
     def test_rows_must_be_bitmasks_of_the_carrier(self):
         for bad in ([0b01, 0b110], [-1, 0b10], [1, True], [1, 2.0], [[1]]):
@@ -97,6 +100,13 @@ class TestDirectedAndLub:
             lub(chain(2).poset, [2])
         with pytest.raises(ValueError, match="outside carrier"):
             check_directed(chain(2).poset, [-1])
+        # an element is an int index, and a bool is not one
+        p = chain(2).poset
+        for bad in ([True], [True, 0], [1, True], [1.0], ["0"]):
+            with pytest.raises(ValueError, match="outside carrier"):
+                lub(p, bad)
+            with pytest.raises(ValueError, match="outside carrier"):
+                check_directed(p, bad)
 
 
 class TestMonotoneMap:
@@ -154,12 +164,14 @@ class TestExponential:
             exponential(flat(6), flat(6))
 
     def test_largest_flat_square_under_the_guard(self):
-        # 0.5 s with the rows handed over; an m x m matrix on the way
+        # built in about 0.03 s from per-argument columns, and its laws
+        # proved again here in about 0.12 s; an m x m matrix on the way
         # would take about 18 s and 0.5 GB
         d = flat(5)
         e = exponential(d, d)
         assert e.size == 7781
         assert e.tables[e.bottom] == (d.bottom,) * d.size
+        assert FinitePoset(e.poset.rows) == e.poset
 
     def test_order_is_pointwise_on_random_pairs(self):
         rng = random.Random(64)
@@ -180,6 +192,7 @@ class TestExponential:
             for tgt in FIXTURES:
                 e = exponential(d, tgt)
                 assert e.tables[e.bottom] == (tgt.bottom,) * d.size
+                assert FinitePoset(e.poset.rows) == e.poset
 
     def test_fixture_pairs_are_pinned(self):
         # sha256 of every fixture pair's rows, bottom and tables, as
@@ -192,14 +205,28 @@ class TestExponential:
         assert h.hexdigest() == (
             "19b16fd85f042f916e316a6593dade9759a973fad6ccfda46ce427e50538a42f")
 
+    def test_a_dense_pair_is_pinned(self):
+        # 1,716 tables whose pointwise order has many edges; the sha256
+        # of its rows, bottom and tables, as computed when FinitePoset
+        # still checked the rows of every exponential
+        e = exponential(chain(6), chain(8))
+        assert e.size == 1716
+        digest = hashlib.sha256(
+            repr((e.poset.rows, e.bottom, e.tables)).encode()).hexdigest()
+        assert digest == (
+            "a0daf498b800a7687a4a8c07106975514b89ea89ba4a88adc77901fd1bf9556b")
+        assert FinitePoset(e.poset.rows) == e.poset
+
     def test_a_wide_source_into_a_point(self):
         # one candidate at any width: a search that recursed per element
         # would pass the recursion limit here
         e = exponential(flat(1100), chain(1))
         assert e.tables == ((0,) * 1101,)
+        assert e.poset.rows == (1,)
 
     def test_valid_over_random_pairs(self):
-        # constructor invariants re-run on every exponential built here
+        # exponential does not check its rows; FinitePoset proves the
+        # poset laws of every exponential built here
         rng = random.Random(60)
         pool = [random_dcpo(rng, rng.randrange(1, 6)) for _ in range(40)]
         for _ in range(100):
@@ -207,6 +234,7 @@ class TestExponential:
             e = exponential(d, tgt)
             assert len(e.tables) == e.size
             assert e.tables[e.bottom] == (tgt.bottom,) * d.size
+            assert FinitePoset(e.poset.rows) == e.poset
 
 
 class TestLeastFixedPoint:
@@ -257,6 +285,7 @@ class TestLeastFixedPoint:
         doms += [random_dcpo(rng, rng.randrange(1, 5)) for _ in range(200)]
         for d in doms:
             dd = exponential(d, d)
+            assert FinitePoset(dd.poset.rows) == dd.poset
             mu = tuple(least_fixed_point(MonotoneMap(d, d, t))
                        for t in dd.tables)
             MonotoneMap(dd, d, mu)  # raises unless mu is monotone
@@ -294,6 +323,12 @@ class TestSupPreservation:
     def test_a_long_table_is_refused(self):
         with pytest.raises(ValueError, match="table length"):
             preserves_directed_lubs(chain(2), chain(2), (0, 1, 1))
+
+    def test_table_values_outside_the_target_are_refused(self):
+        # as in MonotoneMap, a value is an int index and a bool is not one
+        for bad in ((0, True), (0, 1.0), (0, 2)):
+            with pytest.raises(ValueError, match="outside carrier"):
+                preserves_directed_lubs(chain(2), chain(2), bad)
 
 
 class TestCorpusGenerator:
